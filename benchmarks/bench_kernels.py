@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against the pure-Python fallback.
 
-Times the two hot paths (draining the free-tree stream, and the per-cell
-family sweep used by the verifier) for a range of orders and prints the
-speedups.  Run from an installed checkout:
+Times the two hot paths (draining the free-tree stream, and the one-pass
+order fold that the verifier runs once per order) for a range of orders and
+prints the speedups.  Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
+
+The repository's end-to-end benchmark is ``perfbench/run.py``.
 """
 
 import argparse
 import time
 
-from sombor_trees._kernels import pure
-from sombor_trees.extremal import feasible_alpha_range
+from sombor_trees._kernels import order_fold, pure
 
 try:
     from sombor_trees._kernels import _speedups as compiled
@@ -30,14 +31,14 @@ def time_enumerate(mod, n, repeat):
     return best, count
 
 
-def time_sweep(mod, n, repeat):
+def time_fold(mod, n, repeat):
     best = float("inf")
+    fold = None
     for _ in range(repeat):
         start = time.perf_counter()
-        for alpha in feasible_alpha_range(n):
-            mod.family_sweep(n, alpha)
+        fold = order_fold(n, kern=mod)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, fold
 
 
 def main():
@@ -49,19 +50,20 @@ def main():
     if compiled is None:
         print("compiled backend unavailable; timing the pure backend only")
 
-    header = f"{'n':>3} {'trees':>8} {'enum pure':>11} {'sweep pure':>11}"
+    header = f"{'n':>3} {'trees':>8} {'enum pure':>11} {'fold pure':>11}"
     if compiled is not None:
-        header += f" {'enum comp':>11} {'sweep comp':>11} {'enum x':>7} {'sweep x':>8}"
+        header += f" {'enum comp':>11} {'fold comp':>11} {'enum x':>7} {'fold x':>7}"
     print(header)
     for n in args.orders:
         ep, count = time_enumerate(pure, n, args.repeat)
-        sp = time_sweep(pure, n, args.repeat)
-        row = f"{n:>3} {count:>8} {ep:>10.4f}s {sp:>10.4f}s"
+        fp, pfold = time_fold(pure, n, args.repeat)
+        row = f"{n:>3} {count:>8} {ep:>10.4f}s {fp:>10.4f}s"
         if compiled is not None:
             ec, ccount = time_enumerate(compiled, n, args.repeat)
-            sc = time_sweep(compiled, n, args.repeat)
+            fc, cfold = time_fold(compiled, n, args.repeat)
             assert ccount == count, "backends disagree on the tree count"
-            row += f" {ec:>10.4f}s {sc:>10.4f}s {ep / ec:>6.1f}x {sp / sc:>7.1f}x"
+            assert cfold == pfold, "backends disagree on the fold"
+            row += f" {ec:>10.4f}s {fc:>10.4f}s {ep / ec:>6.1f}x {fp / fc:>6.1f}x"
         print(row)
 
 

@@ -2,9 +2,14 @@
 
 The package works without the extension (a pure-Python backend is selected at
 import time), so a failed compile downgrades to a warning instead of aborting
-the install.
+the install.  Without Cython the committed, pre-generated ``_speedups.c`` is
+compiled instead, so an offline build still gets the compiled backend:
+
+    python setup.py build_ext --inplace
+    pip install -e . --no-build-isolation
 """
 
+import os
 import sys
 
 from setuptools import Extension, setup
@@ -35,18 +40,19 @@ class OptionalBuildExt(build_ext):
         )
 
 
+KERNELS = "src/sombor_trees/_kernels/"
+
+
 def extensions():
     try:
         from Cython.Build import cythonize
     except ImportError:
-        return []
+        c_source = KERNELS + "_speedups.c"
+        if not os.path.exists(c_source):
+            return []
+        return [Extension("sombor_trees._kernels._speedups", [c_source])]
     return cythonize(
-        [
-            Extension(
-                "sombor_trees._kernels._speedups",
-                ["src/sombor_trees/_kernels/_speedups.pyx"],
-            )
-        ],
+        [Extension("sombor_trees._kernels._speedups", [KERNELS + "_speedups.pyx"])],
         language_level="3",
     )
 

@@ -15,6 +15,7 @@ from .enumeration import TreeFamilyQuery, enumerate_family, enumerate_free_trees
 from .errors import (
     EdgeListParseError,
     InfeasibleParamsError,
+    OrderRangeError,
     PreconditionError,
     SizeLimitError,
     SomborTreesError,
@@ -66,7 +67,6 @@ from .verify import ExtremalRecord, VerificationReport, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "CanonicalCode",
     "EdgeListParseError",
     "ExtremalParams",
@@ -74,6 +74,7 @@ __all__ = [
     "IndependentSet",
     "InfeasibleParamsError",
     "KERNEL_BACKEND",
+    "OrderRangeError",
     "PreconditionError",
     "ShiftSpec",
     "SizeLimitError",

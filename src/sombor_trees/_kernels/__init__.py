@@ -1,12 +1,16 @@
-"""Kernel backend selection.
+"""Kernel backend selection, plus the one-pass fold both backends share.
 
 Prefers the compiled extension and falls back to the pure-Python module when
 it is absent.  Set SOMBOR_TREES_BACKEND=pure to force the fallback, or
 =compiled to fail loudly when the extension is missing.  Both backends expose
-the same four callables and produce bit-identical output.
+the same callables and produce bit-identical output, so ``order_fold``, which
+is built only on ``iter_level_sequences`` and ``tree_stats_from_levels``, is
+written once here for both.
 """
 
 import os
+
+from ..invariants import SO_TOL
 
 _requested = os.environ.get("SOMBOR_TREES_BACKEND", "").strip().lower()
 
@@ -24,12 +28,51 @@ BACKEND = _impl.BACKEND
 iter_level_sequences = _impl.iter_level_sequences
 iter_rooted_level_sequences = _impl.iter_rooted_level_sequences
 tree_stats_from_levels = _impl.tree_stats_from_levels
-family_sweep = _impl.family_sweep
 
+# The backend's own callables.  order_fold is built on them and reads them
+# from this module at call time, so a wrapper set here sees every walk.
 __all__ = [
     "BACKEND",
     "iter_level_sequences",
     "iter_rooted_level_sequences",
     "tree_stats_from_levels",
-    "family_sweep",
 ]
+
+
+def order_fold(n, kern=None):
+    """Fold the whole order-n stream into every alpha cell in one walk.
+
+    Returns {alpha: (family_size, best_so, runner_up_so, maximizer_levels)}
+    for each alpha that occurs at order n.  Per alpha, the maximizers are
+    every level sequence within SO_TOL of the best Sombor value, in stream
+    order, and the runner-up is the best value strictly below that band
+    (-inf if none).  kern selects a backend module explicitly; by default the
+    selected backend's callables, as bound in this module, are used.
+    """
+    if kern is None:
+        gen, stats = iter_level_sequences, tree_stats_from_levels
+    else:
+        gen, stats = kern.iter_level_sequences, kern.tree_stats_from_levels
+    tol = SO_TOL
+    count = [0] * (n + 1)
+    best = [float("-inf")] * (n + 1)
+    runner = [float("-inf")] * (n + 1)
+    bands = [[] for _ in range(n + 1)]
+    for levels in gen(n):
+        so, a = stats(levels)
+        count[a] += 1
+        b = best[a]
+        if so > b + tol:
+            if b > runner[a]:
+                runner[a] = b
+            best[a] = so
+            bands[a] = [levels]
+        elif so >= b - tol:
+            bands[a].append(levels)
+            if so > b:
+                best[a] = so
+        elif so > runner[a]:
+            runner[a] = so
+    return {
+        a: (count[a], best[a], runner[a], bands[a]) for a in range(n + 1) if count[a]
+    }

@@ -24,23 +24,11 @@ def iter_rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """All canonical rooted trees on n vertices, decreasing lexicographic."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        yield (0,)
-        return
     L = list(range(n))
     while True:
         yield tuple(L)
-        p = n - 1
-        while p > 0 and L[p] == 1:
-            p -= 1
-        if p == 0:
+        if not _successor(L, None):
             return
-        q = p - 1
-        while L[q] != L[p] - 1:
-            q -= 1
-        d = p - q
-        for i in range(p, n):
-            L[i] = L[i - d]
 
 
 def _free_check(L: Sequence[int]) -> tuple[bool, int]:
@@ -84,25 +72,29 @@ def _free_check(L: Sequence[int]) -> tuple[bool, int]:
     return True, m
 
 
-def _successor(L: list[int], p: int | None) -> list[int] | None:
-    """Next canonical rooted sequence, optionally forced to change at index p."""
+def _successor(L: list[int], p: int | None) -> bool:
+    """Advance L in place to the next canonical rooted sequence.
+
+    p forces the change at that index; None, or a forced index already at
+    level 1, takes the natural chop at the last entry above level 1.  Returns
+    False, leaving L untouched, when the stream is exhausted.
+    """
     n = len(L)
-    if p is None:
+    if p is not None and p <= 0:
+        return False
+    if p is None or L[p] < 2:
         p = n - 1
         while p > 0 and L[p] == 1:
             p -= 1
-    if p <= 0:
-        return None
-    if L[p] < 2:  # forced position already at level 1: fall back to the natural chop
-        return _successor(L, None)
+        if p <= 0:
+            return False
     q = p - 1
     while L[q] != L[p] - 1:
         q -= 1
     d = p - q
-    out = list(L)
     for i in range(p, n):
-        out[i] = out[i - d]
-    return out
+        L[i] = L[i - d]
+    return True
 
 
 def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, ...]]:
@@ -119,14 +111,16 @@ def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, .
     if n == 2:
         yield (0, 1)
         return
-    L: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while L is not None:
+    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while True:
         valid, m = _free_check(L)
         if valid:
             yield tuple(L)
-            L = _successor(L, None)
+            p = None
         else:
-            L = _successor(L, m - 1 if use_jump else None)
+            p = m - 1 if use_jump else None
+        if not _successor(L, p):
+            return
 
 
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
@@ -157,37 +151,3 @@ def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
         dv = deg[parent[i]]
         so += math.sqrt(du * du + dv * dv)
     return so, alpha
-
-
-def family_sweep(
-    n: int, alpha: int, tol: float = 1e-9
-) -> tuple[int, float, float, list[tuple[int, ...]]]:
-    """Fold the whole order-n stream, keeping only trees with the given alpha.
-
-    Returns (family_size, best_so, runner_up_so, maximizer_levels): the
-    maximum Sombor value, every level sequence within tol of it, and the best
-    value strictly below the leading band (-inf if none).
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    count = 0
-    best = float("-inf")
-    runner = float("-inf")
-    maximizers: list[tuple[int, ...]] = []
-    for levels in iter_level_sequences(n):
-        so, a = tree_stats_from_levels(levels)
-        if a != alpha:
-            continue
-        count += 1
-        if so > best + tol:
-            if best > runner:
-                runner = best
-            best = so
-            maximizers = [levels]
-        elif so >= best - tol:
-            maximizers.append(levels)
-            if so > best:
-                best = so
-        elif so > runner:
-            runner = so
-    return count, best, runner, maximizers

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .enumeration import DEFAULT_ORDER_CAP, TreeFamilyQuery, enumerate_family
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force check of the closed form over a range of orders")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (cells are independent)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (orders are independent)")
     p.add_argument("--csv", type=Path, default=None, help="also write the table as CSV")
     p.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
                    help=f"raise the order cap beyond {DEFAULT_VERIFY_CAP} (slow)")
@@ -120,11 +121,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SomborTreesError as exc:
+    except (SomborTreesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BrokenProcessPool as exc:  # a worker died: an error, never a violation
+        print(f"error: worker process failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _kernels
-from .errors import SizeLimitError
+from .errors import OrderRangeError, SizeLimitError
 from .invariants import independence_number
 from .tree import Tree
 
@@ -34,7 +34,7 @@ class TreeFamilyQuery:
 def enumerate_free_trees(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[Tree]:
     """Yield one tree per isomorphism class of order n, deterministically."""
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise OrderRangeError(f"order must be >= 1, got {n}")
     if n > cap:
         raise SizeLimitError(f"order {n} exceeds the enumeration cap {cap}")
     for levels in _kernels.iter_level_sequences(n):

@@ -17,6 +17,10 @@ class EdgeListParseError(SomborTreesError, ValueError):
         self.line = line
 
 
+class OrderRangeError(SomborTreesError, ValueError):
+    """Requested order, or range of orders, is below what the operation accepts."""
+
+
 class SizeLimitError(SomborTreesError, ValueError):
     """Requested order exceeds a configured cap or guard."""
 

@@ -1,11 +1,12 @@
 """Exhaustive verification driver: brute-force family maxima vs the closed form.
 
-Each (order, alpha) cell folds the full enumeration stream for that order,
-keeping the maximum Sombor value, the isomorphism classes attaining it, and
-the runner-up value.  A cell passes when the brute-force maximum matches the
-closed form within tolerance and the unique maximizer is the constructed
-extremal tree.  Cells are independent, so they optionally fan out to a
-process pool; the merged report is sorted and byte-stable.
+Each order's enumeration stream is walked once and folded into every
+(order, alpha) cell at the same time, keeping per alpha the maximum Sombor
+value, the isomorphism classes attaining it, and the runner-up value.  A cell
+passes when the brute-force maximum matches the closed form within tolerance
+and the unique maximizer is the constructed extremal tree.  Orders are
+independent, so they optionally fan out to a process pool; the merged report
+is sorted and byte-stable.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import SizeLimitError
+from .errors import OrderRangeError, SizeLimitError
 from .extremal import closed_form_max, construct_t_star, feasible_alpha_range
 from .invariants import SO_TOL
 from .tree import CanonicalCode, Tree, canonical_code
@@ -54,35 +55,36 @@ class ExtremalRecord:
 @dataclass(frozen=True)
 class VerificationReport:
     records: tuple[ExtremalRecord, ...]
-    cell_seconds: tuple[float, ...]
+    order_seconds: tuple[float, ...]
 
     @property
     def overall(self) -> bool:
         return all(r.passed for r in self.records)
 
 
-def verify_cell(order: int, alpha: int) -> tuple[ExtremalRecord, float]:
-    """Fold the alpha-filtered stream for one cell; returns (record, seconds)."""
+def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
+    """Fold the order's stream once into every feasible cell; (records, seconds)."""
     start = time.perf_counter()
-    size, best, runner, maximizer_levels = _kernels.family_sweep(order, alpha)
-    codes = sorted(
-        {canonical_code(Tree.from_level_sequence(lv)) for lv in maximizer_levels}
-    )
-    record = ExtremalRecord(
-        order=order,
-        alpha=alpha,
-        family_size=size,
-        closed_form=closed_form_max(order, alpha),
-        brute_force_max=best,
-        maximizer_count=len(codes),
-        maximizer_code=codes[0],
-        margin_to_second=best - runner,
-    )
-    return record, time.perf_counter() - start
-
-
-def _cell_worker(cell: tuple[int, int]) -> tuple[ExtremalRecord, float]:
-    return verify_cell(*cell)
+    fold = _kernels.order_fold(order)
+    records = []
+    for alpha in feasible_alpha_range(order):
+        size, best, runner, maximizer_levels = fold[alpha]
+        codes = sorted(
+            {canonical_code(Tree.from_level_sequence(lv)) for lv in maximizer_levels}
+        )
+        records.append(
+            ExtremalRecord(
+                order=order,
+                alpha=alpha,
+                family_size=size,
+                closed_form=closed_form_max(order, alpha),
+                brute_force_max=best,
+                maximizer_count=len(codes),
+                maximizer_code=codes[0],
+                margin_to_second=best - runner,
+            )
+        )
+    return records, time.perf_counter() - start
 
 
 def verify(
@@ -90,21 +92,19 @@ def verify(
 ) -> VerificationReport:
     """Verify every feasible (order, alpha) cell with n_min <= order <= n_max."""
     if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
+        raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     if n_max > cap:
         raise SizeLimitError(f"n_max {n_max} exceeds the cap {cap}")
-    cells = [
-        (n, alpha) for n in range(n_min, n_max + 1) for alpha in feasible_alpha_range(n)
-    ]
+    orders = range(n_max, n_min - 1, -1)  # largest first, so the pool ends balanced
     if jobs <= 1:
-        results = [verify_cell(n, alpha) for n, alpha in cells]
+        results = [_verify_order(n) for n in orders]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, cells))
-    results.sort(key=lambda pair: (pair[0].order, pair[0].alpha))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(orders))) as pool:
+            results = list(pool.map(_verify_order, orders, chunksize=1))
+    results.reverse()  # map keeps input order: back to ascending (n, alpha)
     return VerificationReport(
-        records=tuple(rec for rec, _ in results),
-        cell_seconds=tuple(secs for _, secs in results),
+        records=tuple(rec for recs, _ in results for rec in recs),
+        order_seconds=tuple(secs for _, secs in results),
     )
 
 
@@ -132,7 +132,7 @@ def render_text(report: VerificationReport) -> str:
     lines = []
     worst_gap = 0.0
     min_margin = math.inf
-    for r, secs in zip(report.records, report.cell_seconds):
+    for r in report.records:
         gap = abs(r.closed_form - r.brute_force_max)
         worst_gap = max(worst_gap, gap)
         if r.family_size >= 2:
@@ -141,13 +141,13 @@ def render_text(report: VerificationReport) -> str:
             f"n={r.order:<2d} alpha={r.alpha:<2d} family={r.family_size:<6d} "
             f"closed={r.closed_form:<15.9f} brute={r.brute_force_max:<15.9f} "
             f"maximizers={r.maximizer_count} margin={_fmt_margin(r.margin_to_second):<13s} "
-            f"time={secs:.3f}s {'pass' if r.passed else 'FAIL'}"
+            f"{'pass' if r.passed else 'FAIL'}"
         )
     verdict = "PASS" if report.overall else "FAIL"
     lines.append(
         f"overall: {verdict} ({len(report.records)} cells, "
         f"max formula gap {worst_gap:.3e}, "
         f"min margin {_fmt_margin(min_margin)}, "
-        f"total {sum(report.cell_seconds):.3f}s)"
+        f"total {sum(report.order_seconds):.3f}s)"
     )
     return "\n".join(lines) + "\n"

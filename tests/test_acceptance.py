@@ -32,7 +32,7 @@ from sombor_trees.transforms import (
     lemma1_case_tag,
 )
 from sombor_trees.tree import canonical_code, pendant_vertices
-from sombor_trees.verify import verify, verify_cell
+from sombor_trees.verify import verify
 
 from conftest import (
     labeled_tree_total,
@@ -90,8 +90,10 @@ def test_criterion_1_theorem_exhaustive_verification():
 
 def test_criterion_2_star_case():
     ok = True
-    for n in range(2, 13):
-        rec, _ = verify_cell(n, n - 1)
+    stars = [r for r in verify(2, 12).records if r.alpha == r.order - 1]
+    assert [r.order for r in stars] == list(range(2, 13))
+    for rec in stars:
+        n = rec.order
         expected = (n - 1) * math.sqrt((n - 1) ** 2 + 1)
         ok &= rec.family_size == 1
         ok &= abs(rec.brute_force_max - expected) <= FORMULA_TOL

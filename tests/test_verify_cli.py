@@ -1,9 +1,11 @@
 """Verification driver records/CSV and the CLI surface end to end."""
 
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from sombor_trees import cli
 from sombor_trees.cli import main
 from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
@@ -14,8 +16,13 @@ from sombor_trees.verify import (
     render_text,
     to_csv,
     verify,
-    verify_cell,
 )
+
+
+def _record(order, alpha):
+    """The (order, alpha) row of verify(order, order)."""
+    (rec,) = [r for r in verify(order, order).records if r.alpha == alpha]
+    return rec
 
 
 class TestVerifyDriver:
@@ -35,7 +42,7 @@ class TestVerifyDriver:
         assert rec.brute_force_max == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_6_4_unique_maximizer(self):
-        rec, _ = verify_cell(6, 4)
+        rec = _record(6, 4)
         assert rec.family_size == 3
         assert rec.maximizer_count == 1
         assert rec.brute_force_max == pytest.approx(
@@ -59,8 +66,18 @@ class TestVerifyDriver:
         parallel = verify(2, 9, jobs=2)
         assert to_csv(serial) == to_csv(parallel)
 
+    def test_csv_invariant_under_jobs(self):
+        # orders fan out largest first; the report must not show it
+        texts = [to_csv(verify(2, 11, jobs=j)) for j in (1, 2, 3)]
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_one_timing_per_order(self):
+        report = verify(3, 7)
+        assert len(report.order_seconds) == 5
+        assert all(secs >= 0.0 for secs in report.order_seconds)
+
     def test_report_fails_on_doctored_record(self):
-        rec, _ = verify_cell(6, 4)
+        rec = _record(6, 4)
         bad = ExtremalRecord(
             order=6,
             alpha=4,
@@ -72,7 +89,7 @@ class TestVerifyDriver:
             margin_to_second=rec.margin_to_second,
         )
         assert not bad.passed
-        assert not VerificationReport(records=(bad,), cell_seconds=(0.0,)).overall
+        assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
 
 
 class TestCsv:
@@ -92,6 +109,11 @@ class TestCsv:
 
     def test_render_text_mentions_overall(self):
         assert "overall: PASS" in render_text(verify(2, 6))
+
+    def test_render_text_rows_carry_no_timing(self):
+        *rows, summary = render_text(verify(2, 6)).splitlines()
+        assert rows and not any("time=" in row for row in rows)
+        assert summary.startswith("overall: PASS") and "total " in summary
 
 
 class TestCliCompute:
@@ -193,3 +215,60 @@ class TestCliVerifyAndTable:
         with pytest.raises(SystemExit) as info:
             main(["verify"])  # missing required --n-max
         assert info.value.code == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line itself
+        return exc.code
+
+
+USAGE_ERRORS = {
+    "verify": [
+        ["verify", "--n-min", "1", "--n-max", "5"],
+        ["verify", "--n-min", "0", "--n-max", "0"],
+        ["verify", "--n-max", "1"],
+        ["verify", "--n-min", "6", "--n-max", "3"],
+        ["verify", "--n-max", "17"],
+        ["verify", "--n-max", "five"],
+    ],
+    "compute": [
+        ["compute", "--input", "{tmp}/missing.txt"],
+        ["compute", "--input", "{tmp}/bad.txt"],
+    ],
+    "construct": [
+        ["construct", "--n", "0", "--alpha", "0", "--output", "{tmp}/t.txt"],
+        ["construct", "--n", "6", "--alpha", "6", "--output", "{tmp}/t.txt"],
+    ],
+    "table": [
+        ["table", "--n-max", "1", "--output", "{tmp}/t.csv"],
+        ["table", "--n-max", "-4", "--output", "{tmp}/t.csv"],
+        ["table", "--n-max", "17", "--output", "{tmp}/t.csv"],
+    ],
+    "enumerate": [
+        ["enumerate", "--n", "0"],
+        ["enumerate", "--n", "-3", "--alpha", "1"],
+        ["enumerate", "--n", "21"],
+    ],
+}
+
+
+class TestExitCodeContract:
+    """0 pass, 1 theorem violation, 2 usage or input error: never 1 for bad input."""
+
+    @pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
+    def test_usage_error_cannot_exit_1(self, command, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("3\n0 1\n")
+        for argv in USAGE_ERRORS[command]:
+            argv = [a.format(tmp=tmp_path) for a in argv]
+            assert _exit_code(argv) == 2, argv
+            assert "error" in capsys.readouterr().err, argv
+
+    def test_worker_failure_is_an_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(cli, "verify", broken)
+        assert main(["verify", "--n-max", "6", "--jobs", "2"]) == 2
+        assert "error: worker process failed" in capsys.readouterr().err
