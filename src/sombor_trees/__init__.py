@@ -11,7 +11,7 @@ fallback selected at import.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .enumeration import TreeFamilyQuery, enumerate_family, enumerate_free_trees
+from .enumeration import enumerate_family, enumerate_free_trees
 from .errors import (
     EdgeListParseError,
     InfeasibleParamsError,
@@ -81,7 +81,6 @@ __all__ = [
     "SomborTreesError",
     "Tree",
     "TreeClass",
-    "TreeFamilyQuery",
     "TreeStructureError",
     "VerificationReport",
     "apply_lemma1_case",

@@ -26,7 +26,6 @@ else:
 
 BACKEND = _impl.BACKEND
 iter_level_sequences = _impl.iter_level_sequences
-iter_rooted_level_sequences = _impl.iter_rooted_level_sequences
 tree_stats_from_levels = _impl.tree_stats_from_levels
 
 # The backend's own callables.  order_fold is built on them and reads them
@@ -34,7 +33,6 @@ tree_stats_from_levels = _impl.tree_stats_from_levels
 __all__ = [
     "BACKEND",
     "iter_level_sequences",
-    "iter_rooted_level_sequences",
     "tree_stats_from_levels",
 ]
 

@@ -14,9 +14,9 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from .enumeration import DEFAULT_ORDER_CAP, TreeFamilyQuery, enumerate_family
+from .enumeration import enumerate_family
 from .errors import SomborTreesError
-from .extremal import ExtremalParams, classify, construct_t_star
+from .extremal import classify, construct_t_star
 from .invariants import independence_number, sombor_index
 from .tree import canonical_code, format_edge_list, parse_edge_list
 from .verify import DEFAULT_VERIFY_CAP, render_text, to_csv, verify
@@ -80,7 +80,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    ExtremalParams(args.n, args.alpha)  # friendly range error before any work
     t = construct_t_star(args.n, args.alpha)
     args.output.write_text(format_edge_list(t), encoding="utf-8")
     return 0
@@ -94,10 +93,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    query = TreeFamilyQuery(order=args.n, alpha_filter=args.alpha)
     first = True
     count = 0
-    for t in enumerate_family(query, cap=DEFAULT_ORDER_CAP):
+    for t in enumerate_family(args.n, args.alpha):
         if not first:
             sys.stdout.write("\n")
         sys.stdout.write(format_edge_list(t))

@@ -12,45 +12,36 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import _kernels
 from .errors import OrderRangeError, SizeLimitError
-from .invariants import independence_number
 from .tree import Tree
 
 DEFAULT_ORDER_CAP = 20
 
 
-@dataclass(frozen=True)
-class TreeFamilyQuery:
-    """Order plus an optional independence-number filter."""
-
-    order: int
-    alpha_filter: int | None = None
-
-
 def enumerate_free_trees(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[Tree]:
     """Yield one tree per isomorphism class of order n, deterministically."""
+    return enumerate_family(n, cap=cap)
+
+
+def enumerate_family(
+    n: int, alpha: int | None = None, cap: int = DEFAULT_ORDER_CAP
+) -> Iterator[Tree]:
+    """The subset of the order-n stream with independence number alpha (all
+    of it when alpha is None).
+
+    The kernel decides alpha from the level sequence, so a Tree is built only
+    for the trees emitted.  Infeasible alphas simply produce an empty stream.
+    """
     if n < 1:
         raise OrderRangeError(f"order must be >= 1, got {n}")
     if n > cap:
         raise SizeLimitError(f"order {n} exceeds the enumeration cap {cap}")
     for levels in _kernels.iter_level_sequences(n):
-        yield Tree.from_level_sequence(levels)
-
-
-def enumerate_family(
-    query: TreeFamilyQuery, cap: int = DEFAULT_ORDER_CAP
-) -> Iterator[Tree]:
-    """The subset of the order-n stream with the requested independence number.
-
-    Infeasible filters simply produce an empty stream.
-    """
-    for t in enumerate_free_trees(query.order, cap=cap):
-        if query.alpha_filter is None or independence_number(t) == query.alpha_filter:
-            yield t
+        if alpha is None or _kernels.tree_stats_from_levels(levels)[1] == alpha:
+            yield Tree.from_level_sequence(levels)
 
 
 def prufer_to_tree(seq: Sequence[int], order: int) -> Tree:

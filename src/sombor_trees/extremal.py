@@ -75,6 +75,15 @@ def construct_t_star(order: int, alpha: int) -> Tree:
     return Tree.from_edges(n, edges)
 
 
+def t_star_levels(order: int, alpha: int) -> tuple[int, ...]:
+    """The maximizer's canonical level sequence, as the enumeration stream
+    yields it: the hub at the root, each armed core vertex followed by its
+    pendant, then the hub's own pendants."""
+    p = ExtremalParams(order, alpha)
+    n, a = p.order, p.alpha
+    return (0,) + (1, 2) * (n - a - 1) + (1,) * (2 * a - n + 1)
+
+
 def closed_form_max(order: int, alpha: int) -> float:
     """The maximum Sombor index over trees of this order and independence
     number: (2a-(n-1))sqrt(a^2+1) + (n-(a+1))(sqrt(a^2+4) + sqrt(5))."""

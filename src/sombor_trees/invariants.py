@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from .errors import SizeLimitError, TreeStructureError
 from .tree import Tree
 
-# Comparisons between sums of edge square roots use this absolute tolerance;
-# strict-increase assertions additionally demand the larger margin.
+# Comparisons between sums of edge square roots use this absolute tolerance.
 SO_TOL = 1e-9
-STRICT_MARGIN = 1e-6
 
 INDEPENDENCE_ORACLE_MAX = 24
 

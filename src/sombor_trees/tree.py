@@ -77,21 +77,6 @@ class Tree:
         return cls(order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
     @classmethod
-    def from_parents(cls, parents: Sequence[int]) -> "Tree":
-        """Build from a parent array with parents[0] == -1 and parents[i] < i."""
-        n = len(parents)
-        if n < 1 or parents[0] != -1:
-            raise ValueError("parents[0] must be -1")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
-            p = parents[i]
-            if not 0 <= p < i:
-                raise ValueError(f"parents[{i}]={p} must lie in [0, {i})")
-            adj[p].append(i)
-            adj[i].append(p)
-        return cls(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
-
-    @classmethod
     def from_level_sequence(cls, levels: Sequence[int]) -> "Tree":
         """Build from a preorder depth sequence starting at level 0."""
         n = len(levels)

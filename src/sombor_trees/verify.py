@@ -2,9 +2,10 @@
 
 Each order's enumeration stream is walked once and folded into every
 (order, alpha) cell at the same time, keeping per alpha the maximum Sombor
-value, the isomorphism classes attaining it, and the runner-up value.  A cell
+value, the isomorphism classes attaining it, and the runner-up value.  The
+stream yields one canonical level sequence per isomorphism class, so a cell
 passes when the brute-force maximum matches the closed form within tolerance
-and the unique maximizer is the constructed extremal tree.  Orders are
+and its only maximizing sequence is the extremal tree's.  Orders are
 independent, so they optionally fan out to a process pool; the merged report
 is sorted and byte-stable.
 """
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import OrderRangeError, SizeLimitError
-from .extremal import closed_form_max, construct_t_star, feasible_alpha_range
+from .extremal import closed_form_max, feasible_alpha_range, t_star_levels
 from .invariants import SO_TOL
-from .tree import CanonicalCode, Tree, canonical_code
 
 DEFAULT_VERIFY_CAP = 16
 
@@ -35,7 +35,7 @@ class ExtremalRecord:
     closed_form: float
     brute_force_max: float
     maximizer_count: int
-    maximizer_code: CanonicalCode
+    maximizer_levels: tuple[int, ...]
     margin_to_second: float
 
     @property
@@ -47,8 +47,7 @@ class ExtremalRecord:
         return (
             self.formula_matches
             and self.maximizer_count == 1
-            and self.maximizer_code
-            == canonical_code(construct_t_star(self.order, self.alpha))
+            and self.maximizer_levels == t_star_levels(self.order, self.alpha)
         )
 
 
@@ -68,10 +67,7 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
     fold = _kernels.order_fold(order)
     records = []
     for alpha in feasible_alpha_range(order):
-        size, best, runner, maximizer_levels = fold[alpha]
-        codes = sorted(
-            {canonical_code(Tree.from_level_sequence(lv)) for lv in maximizer_levels}
-        )
+        size, best, runner, maximizers = fold[alpha]
         records.append(
             ExtremalRecord(
                 order=order,
@@ -79,8 +75,8 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
                 family_size=size,
                 closed_form=closed_form_max(order, alpha),
                 brute_force_max=best,
-                maximizer_count=len(codes),
-                maximizer_code=codes[0],
+                maximizer_count=len(maximizers),
+                maximizer_levels=maximizers[0],
                 margin_to_second=best - runner,
             )
         )

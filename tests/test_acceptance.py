@@ -31,7 +31,7 @@ from sombor_trees.transforms import (
     apply_theorem_step,
     lemma1_case_tag,
 )
-from sombor_trees.tree import canonical_code, pendant_vertices
+from sombor_trees.tree import Tree, canonical_code, pendant_vertices
 from sombor_trees.verify import verify
 
 from conftest import (
@@ -58,9 +58,9 @@ def test_criterion_1_theorem_exhaustive_verification():
     for rec in report.records:
         ok &= abs(rec.closed_form - rec.brute_force_max) <= FORMULA_TOL
         ok &= rec.maximizer_count == 1
-        ok &= rec.maximizer_code == canonical_code(
-            construct_t_star(rec.order, rec.alpha)
-        )
+        ok &= canonical_code(
+            Tree.from_level_sequence(rec.maximizer_levels)
+        ) == canonical_code(construct_t_star(rec.order, rec.alpha))
     runtime_ok = base_elapsed < 10.0
     start = time.perf_counter()
     extended = verify(13, 16)

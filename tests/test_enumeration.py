@@ -5,14 +5,13 @@ import pytest
 
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import (
-    TreeFamilyQuery,
     enumerate_family,
     enumerate_free_trees,
     prufer_to_tree,
 )
-from sombor_trees.errors import SizeLimitError
+from sombor_trees.errors import OrderRangeError, SizeLimitError
 from sombor_trees.invariants import independence_number
-from sombor_trees.tree import canonical_code
+from sombor_trees.tree import canonical_code, format_edge_list
 
 from conftest import grow_by_leaf, prufer_iso_classes, trees_of_order
 
@@ -42,6 +41,10 @@ class TestCounts:
             list(enumerate_free_trees(21))
         with pytest.raises(SizeLimitError):
             list(enumerate_free_trees(11, cap=10))
+        with pytest.raises(SizeLimitError):
+            list(enumerate_family(21, 11))
+        with pytest.raises(OrderRangeError):
+            list(enumerate_family(0, 1))
 
 
 class TestIsomorphismExactness:
@@ -82,15 +85,27 @@ class TestDeterminism:
 
 class TestFamilies:
     def test_alpha_n_minus_1_is_the_star(self):
-        trees = list(enumerate_family(TreeFamilyQuery(6, 5)))
+        trees = list(enumerate_family(6, 5))
         assert len(trees) == 1
         assert trees[0].degrees.count(5) == 1
 
     def test_infeasible_alpha_is_empty(self):
-        assert list(enumerate_family(TreeFamilyQuery(6, 2))) == []
+        assert list(enumerate_family(6, 2)) == []
 
     def test_family_7_4_has_6_members(self):
-        assert len(list(enumerate_family(TreeFamilyQuery(7, 4)))) == 6
+        assert len(list(enumerate_family(7, 4))) == 6
+
+    def test_filter_matches_library_dp(self):
+        # the kernel's alpha decides membership; the adjacency DP must agree
+        for n in range(1, 12):
+            for alpha in range(1, n + 1):
+                expected = [
+                    format_edge_list(t)
+                    for t in enumerate_free_trees(n)
+                    if independence_number(t) == alpha
+                ]
+                got = [format_edge_list(t) for t in enumerate_family(n, alpha)]
+                assert got == expected, (n, alpha)
 
     def test_family_sizes_partition_the_order(self):
         import math

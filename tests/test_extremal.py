@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sombor_trees._kernels import pure
 from sombor_trees.errors import InfeasibleParamsError
 from sombor_trees.extremal import (
     ExtremalParams,
@@ -18,6 +19,7 @@ from sombor_trees.extremal import (
     star_shift_inequality,
     t1_members,
     t2_members,
+    t_star_levels,
     theorem_shift_inequality,
 )
 from sombor_trees.invariants import (
@@ -77,6 +79,31 @@ class TestConstruction:
             for alpha in feasible_alpha_range(n):
                 t = construct_t_star(n, alpha)
                 assert independence_number_oracle(t) == alpha
+
+
+class TestTStarLevels:
+    def test_is_the_streams_sequence_for_t_star(self):
+        # AHU is the independent route: the one stream sequence isomorphic
+        # to the constructed tree is the closed-form sequence
+        for n in range(2, 15):
+            codes = {}
+            for levels in pure.iter_level_sequences(n):
+                codes.setdefault(canonical_code(Tree.from_level_sequence(levels)), []).append(levels)
+            for alpha in feasible_alpha_range(n):
+                assert codes[canonical_code(construct_t_star(n, alpha))] == [
+                    t_star_levels(n, alpha)
+                ]
+
+    def test_small_cases(self):
+        assert t_star_levels(2, 1) == (0, 1)
+        assert t_star_levels(6, 5) == (0, 1, 1, 1, 1, 1)
+        assert t_star_levels(6, 4) == (0, 1, 2, 1, 1, 1)
+        assert t_star_levels(6, 3) == (0, 1, 2, 1, 2, 1)
+
+    def test_rejects_out_of_range(self):
+        for order, alpha in ((6, 2), (6, 6), (1, 0), (0, 0), (7, 3)):
+            with pytest.raises(InfeasibleParamsError):
+                t_star_levels(order, alpha)
 
 
 class TestClosedForm:

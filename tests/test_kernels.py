@@ -2,7 +2,10 @@
 bit, and both must agree with the adjacency-based library routines.  The
 one-pass order fold must equal a separate fold per alpha."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +124,22 @@ class TestBackendSelection:
         assert callable(_kernels.tree_stats_from_levels)
         assert callable(_kernels.order_fold)
         assert "family_sweep" not in _kernels.__all__
+
+
+class TestGeneratedSource:
+    def test_committed_c_matches_the_pyx(self, monkeypatch):
+        # the benchmark compiles the committed .c and refuses it when stale;
+        # an edit to the .pyx needs a regenerated .c in the same change
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_build", root / "perfbench" / "build.py"
+        )
+        build = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, build)  # dataclasses look it up
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only import
+        spec.loader.exec_module(build)
+        checked, stale = build.stale_markers(
+            build.KERNELS / "_speedups.c", build.KERNELS / "_speedups.pyx"
+        )
+        assert checked > 0
+        assert stale == []

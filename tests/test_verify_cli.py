@@ -1,5 +1,6 @@
 """Verification driver records/CSV and the CLI surface end to end."""
 
+import dataclasses
 import math
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,7 +12,6 @@ from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, canonical_code, format_edge_list
 from sombor_trees.verify import (
-    ExtremalRecord,
     VerificationReport,
     render_text,
     to_csv,
@@ -48,7 +48,10 @@ class TestVerifyDriver:
         assert rec.brute_force_max == pytest.approx(
             3 * math.sqrt(17) + math.sqrt(20) + math.sqrt(5), abs=1e-9
         )
-        assert rec.maximizer_code == canonical_code(construct_t_star(6, 4))
+        assert rec.maximizer_levels == (0, 1, 2, 1, 1, 1)
+        assert canonical_code(Tree.from_level_sequence(rec.maximizer_levels)) == (
+            canonical_code(construct_t_star(6, 4))
+        )
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -78,18 +81,12 @@ class TestVerifyDriver:
 
     def test_report_fails_on_doctored_record(self):
         rec = _record(6, 4)
-        bad = ExtremalRecord(
-            order=6,
-            alpha=4,
-            family_size=rec.family_size,
-            closed_form=rec.closed_form + 1.0,
-            brute_force_max=rec.brute_force_max,
-            maximizer_count=rec.maximizer_count,
-            maximizer_code=rec.maximizer_code,
-            margin_to_second=rec.margin_to_second,
-        )
-        assert not bad.passed
-        assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
+        assert rec.passed
+        wrong_value = dataclasses.replace(rec, closed_form=rec.closed_form + 1.0)
+        wrong_tree = dataclasses.replace(rec, maximizer_levels=(0, 1, 2, 3, 1, 2))  # P6
+        for bad in (wrong_value, wrong_tree):
+            assert not bad.passed
+            assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
 
 
 class TestCsv:
