@@ -10,8 +10,6 @@ written once here for both.
 
 import os
 
-from ..invariants import SO_TOL
-
 _requested = os.environ.get("SOMBOR_TREES_BACKEND", "").strip().lower()
 
 if _requested == "pure":
@@ -40,10 +38,11 @@ __all__ = [
 def order_fold(n, kern=None):
     """Fold the whole order-n stream into every alpha cell in one walk.
 
-    Returns {alpha: (family_size, best_so, runner_up_so, maximizer_levels)}
-    for each alpha that occurs at order n.  Per alpha, the maximizers are
-    every level sequence within SO_TOL of the best Sombor value, in stream
-    order, and the runner-up is the best value strictly below that band
+    Returns {alpha: (family_size, best_so, runner_up_so, maximizer_count,
+    maximizer_levels)} for each alpha that occurs at order n.  Per alpha,
+    best_so is the largest Sombor value, maximizer_count the number of level
+    sequences attaining it exactly, maximizer_levels the first of them in
+    stream order, and runner_up_so the largest value strictly below best_so
     (-inf if none).  kern selects a backend module explicitly; by default the
     selected backend's callables, as bound in this module, are used.
     """
@@ -51,26 +50,26 @@ def order_fold(n, kern=None):
         gen, stats = iter_level_sequences, tree_stats_from_levels
     else:
         gen, stats = kern.iter_level_sequences, kern.tree_stats_from_levels
-    tol = SO_TOL
     count = [0] * (n + 1)
     best = [float("-inf")] * (n + 1)
     runner = [float("-inf")] * (n + 1)
-    bands = [[] for _ in range(n + 1)]
+    ties = [0] * (n + 1)
+    first = [None] * (n + 1)
     for levels in gen(n):
         so, a = stats(levels)
         count[a] += 1
         b = best[a]
-        if so > b + tol:
-            if b > runner[a]:
-                runner[a] = b
+        if so > b:
+            runner[a] = b
             best[a] = so
-            bands[a] = [levels]
-        elif so >= b - tol:
-            bands[a].append(levels)
-            if so > b:
-                best[a] = so
+            ties[a] = 1
+            first[a] = levels
+        elif so == b:
+            ties[a] += 1
         elif so > runner[a]:
             runner[a] = so
     return {
-        a: (count[a], best[a], runner[a], bands[a]) for a in range(n + 1) if count[a]
+        a: (count[a], best[a], runner[a], ties[a], first[a])
+        for a in range(n + 1)
+        if count[a]
     }

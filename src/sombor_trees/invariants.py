@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from .errors import SizeLimitError, TreeStructureError
 from .tree import Tree
 
-# Comparisons between sums of edge square roots use this absolute tolerance.
-SO_TOL = 1e-9
-
 INDEPENDENCE_ORACLE_MAX = 24
 
 

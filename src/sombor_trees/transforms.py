@@ -19,9 +19,6 @@ from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, classify
 from .tree import Tree, strip_pendants, tree_path
 
-LEMMA1_CASE_TAGS = ("1.1", "1.2", "2", "3")
-
-
 @dataclass(frozen=True)
 class ShiftSpec:
     """Re-home `moved` (current neighbors of donor) onto receiver."""
@@ -158,6 +155,11 @@ class _CaseConfig:
 
 
 def _case_config(t: Tree) -> _CaseConfig:
+    label = classify(t)
+    if label is not TreeClass.OTHER:
+        raise PreconditionError(
+            f"case moves expect a tree outside the star families; got {label.value}"
+        )
     u, v = select_support_pair(t)
     path = tree_path(t, u, v)
     x, y = path[1], path[-2]
@@ -185,36 +187,19 @@ def _case_config(t: Tree) -> _CaseConfig:
 
 def lemma1_case_tag(t: Tree) -> str:
     """Which case move applies to this tree (classify(t) must be Other)."""
-    label = classify(t)
-    if label is not TreeClass.OTHER:
-        raise PreconditionError(
-            f"case moves expect a tree outside the star families; got {label.value}"
-        )
     return _case_config(t).tag
 
 
-def apply_lemma1_case(t: Tree, case_tag: str) -> Tree:
-    """Apply the tagged case move around the selected support pair.
+def apply_lemma1_case(t: Tree) -> Tree:
+    """Apply the case move that the selected support pair realizes.
 
-    1.1 re-homes all of v's neighbors except y and one pendant onto u;
-    1.2 first swaps the path edges u~x / v~y (skipped when the pair is
-    adjacent, where the swap degenerates to the identity), then does the same
-    re-homing; 2 and 3 re-home the heavy neighbors of the pendant-free donor.
+    The case is lemma1_case_tag(t): 1.1 re-homes all of v's neighbors except
+    y and one pendant onto u; 1.2 first swaps the path edges u~x / v~y
+    (skipped when the pair is adjacent, where the swap degenerates to the
+    identity), then does the same re-homing; 2 and 3 re-home the heavy
+    neighbors of the pendant-free donor.
     """
-    if case_tag not in LEMMA1_CASE_TAGS:
-        raise ValueError(f"unknown case tag {case_tag!r}; expected one of {LEMMA1_CASE_TAGS}")
-    label = classify(t)
-    if label is not TreeClass.OTHER:
-        raise PreconditionError(
-            f"case moves expect a tree outside the star families; got {label.value}"
-        )
     cfg = _case_config(t)
-    if cfg.tag != case_tag:
-        raise PreconditionError(
-            f"case {case_tag} preconditions not met: the selected pair realizes "
-            f"case {cfg.tag} (a={cfg.a}, b={cfg.b}, d(x)={t.degrees[cfg.x]}, "
-            f"d(y)={t.degrees[cfg.y]})"
-        )
     if cfg.tag == "1.1":
         moved = cfg.v_heavy + cfg.v_pendants[1:]
         return shift_neighbors(t, ShiftSpec(cfg.v, cfg.u, moved))

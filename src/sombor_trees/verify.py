@@ -2,10 +2,11 @@
 
 Each order's enumeration stream is walked once and folded into every
 (order, alpha) cell at the same time, keeping per alpha the maximum Sombor
-value, the isomorphism classes attaining it, and the runner-up value.  The
-stream yields one canonical level sequence per isomorphism class, so a cell
-passes when the brute-force maximum matches the closed form within tolerance
-and its only maximizing sequence is the extremal tree's.  Orders are
+value, how many isomorphism classes attain it exactly, the first of them, and
+the runner-up value.  The stream yields one canonical level sequence per
+isomorphism class, so a cell passes when the brute-force maximum matches the
+closed form within SO_TOL, its only maximizing sequence is the extremal
+tree's, and every other tree lies more than SO_TOL below it.  Orders are
 independent, so they optionally fan out to a process pool; the merged report
 is sorted and byte-stable.
 """
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import OrderRangeError, SizeLimitError
 from .extremal import closed_form_max, feasible_alpha_range, t_star_levels
-from .invariants import SO_TOL
 
 DEFAULT_VERIFY_CAP = 16
+
+# Comparisons between sums of edge square roots use this absolute tolerance.
+SO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,7 @@ class ExtremalRecord:
         return (
             self.formula_matches
             and self.maximizer_count == 1
+            and self.margin_to_second > SO_TOL
             and self.maximizer_levels == t_star_levels(self.order, self.alpha)
         )
 
@@ -67,7 +71,7 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
     fold = _kernels.order_fold(order)
     records = []
     for alpha in feasible_alpha_range(order):
-        size, best, runner, maximizers = fold[alpha]
+        size, best, runner, ties, first = fold[alpha]
         records.append(
             ExtremalRecord(
                 order=order,
@@ -75,8 +79,8 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
                 family_size=size,
                 closed_form=closed_form_max(order, alpha),
                 brute_force_max=best,
-                maximizer_count=len(maximizers),
-                maximizer_levels=maximizers[0],
+                maximizer_count=ties,
+                maximizer_levels=first,
                 margin_to_second=best - runner,
             )
         )

@@ -29,7 +29,6 @@ from sombor_trees.transforms import (
     apply_lemma1_case,
     apply_lemma2_step,
     apply_theorem_step,
-    lemma1_case_tag,
 )
 from sombor_trees.tree import Tree, canonical_code, pendant_vertices
 from sombor_trees.verify import verify
@@ -163,7 +162,7 @@ def test_criterion_5_transformation_suite():
             alpha = independence_number(t)
             so = sombor_index(t)
             if label is TreeClass.OTHER:
-                out = apply_lemma1_case(t, lemma1_case_tag(t))
+                out = apply_lemma1_case(t)
                 moves += 1
                 failures += not (
                     independence_number(out) == alpha

@@ -1,27 +1,60 @@
 """Backend parity: the compiled kernels must match the pure backend bit for
 bit, and both must agree with the adjacency-based library routines.  The
-one-pass order fold must equal a separate fold per alpha."""
+one-pass order fold must equal a separate fold per alpha.
+
+Without an installed extension, the parity tests compile the committed
+``_speedups.c`` into a temporary directory and load it from there."""
 
 import importlib.util
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import order_fold, pure
-from sombor_trees.invariants import SO_TOL, independence_number, sombor_index
+from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.tree import Tree
 
-try:
-    from sombor_trees._kernels import _speedups as compiled
-except ImportError:
-    compiled = None
+ROOT = Path(__file__).resolve().parent.parent
 
-needs_compiled = pytest.mark.skipif(
-    compiled is None, reason="compiled backend not built"
-)
+
+def _perfbench_build():
+    """Import perfbench/build.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_build", ROOT / "perfbench" / "build.py"
+    )
+    build = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, build)  # dataclasses look it up
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(build)
+    return build
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The compiled backend, built from the committed .c when not installed."""
+    try:
+        from sombor_trees._kernels import _speedups
+
+        return _speedups
+    except ImportError:
+        pass
+    build = _perfbench_build()
+    out = tmp_path_factory.mktemp("speedups")
+    _, error = build._compile(build.KERNELS / "_speedups.c", out)
+    if error is not None:
+        pytest.skip(f"compiled backend could not be built: {error}")
+    (path,) = out.glob("_speedups*")
+    spec = importlib.util.spec_from_file_location(
+        "sombor_trees._kernels._speedups", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestPureKernels:
@@ -38,26 +71,41 @@ class TestPureKernels:
         fold = order_fold(9, kern=pure)
         assert sorted(fold) == [5, 6, 7, 8]
         total = 0
-        for count, best, runner, maximizers in fold.values():
-            assert maximizers and best >= runner
+        for count, best, runner, ties, first in fold.values():
+            assert ties >= 1 and len(first) == 9 and best > runner
             total += count
         assert total == 47
 
     def test_order_fold_trivial_orders(self):
-        ((alpha, (count, best, runner, maximizers)),) = order_fold(1, kern=pure).items()
-        assert alpha == 1
-        assert (count, best) == (1, 0.0) and maximizers == [(0,)]
-        ((alpha, (count, best, runner, maximizers)),) = order_fold(2, kern=pure).items()
+        assert order_fold(1, kern=pure) == {1: (1, 0.0, -math.inf, 1, (0,))}
+        ((alpha, (count, best, runner, ties, first)),) = order_fold(2, kern=pure).items()
         assert alpha == 1
         assert count == 1 and best == pytest.approx(math.sqrt(2))
-        assert maximizers == [(0, 1)]
+        assert (runner, ties, first) == (-math.inf, 1, (0, 1))
+
+    def test_order_fold_counts_exact_ties_only(self):
+        # a scripted stream, levels -> (so, alpha), in stream order
+        stream = {
+            (0, 1): (2.0, 1),
+            (0, 2): (3.0, 1),
+            (0, 3): (3.0 - 1e-12, 1),
+            (0, 4): (3.0, 1),
+            (0, 5): (1.0, 2),
+        }
+        kern = SimpleNamespace(
+            iter_level_sequences=lambda n: iter(stream),
+            tree_stats_from_levels=stream.__getitem__,
+        )
+        assert order_fold(2, kern=kern) == {
+            1: (4, 3.0, 3.0 - 1e-12, 2, (0, 2)),
+            2: (1, 1.0, -math.inf, 1, (0, 5)),
+        }
 
     def test_order_fold_equals_one_fold_per_alpha(self):
         for n in range(1, 12):
             fold = order_fold(n, kern=pure)
             for alpha in range(1, n + 1):
-                expected = _fold_one_alpha(n, alpha)
-                assert fold.get(alpha, (0, -math.inf, -math.inf, [])) == expected
+                assert fold.get(alpha) == _fold_one_alpha(n, alpha)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -67,50 +115,45 @@ class TestPureKernels:
 
 
 def _fold_one_alpha(n, alpha):
-    """Reference: walk the stream for one alpha, band within SO_TOL of the best."""
-    count, best, runner, maximizers = 0, -math.inf, -math.inf, []
+    """Reference: collect one alpha's (so, levels), then read the cell off it."""
+    cell = []
     for levels in pure.iter_level_sequences(n):
         so, a = pure.tree_stats_from_levels(levels)
-        if a != alpha:
-            continue
-        count += 1
-        if so > best + SO_TOL:
-            runner = max(runner, best)
-            best, maximizers = so, [levels]
-        elif so >= best - SO_TOL:
-            maximizers.append(levels)
-            best = max(best, so)
-        else:
-            runner = max(runner, so)
-    return count, best, runner, maximizers
+        if a == alpha:
+            cell.append((so, levels))
+    if not cell:
+        return None
+    best = max(so for so, _ in cell)
+    ties = [levels for so, levels in cell if so == best]
+    runner = max((so for so, _ in cell if so < best), default=-math.inf)
+    return len(cell), best, runner, len(ties), ties[0]
 
 
-@needs_compiled
 class TestCompiledParity:
-    def test_streams_identical(self):
+    def test_streams_identical(self, compiled):
         for n in range(1, 13):
             assert list(compiled.iter_level_sequences(n)) == list(
                 pure.iter_level_sequences(n)
             )
 
-    def test_no_jump_mode_matches(self):
+    def test_no_jump_mode_matches(self, compiled):
         for n in range(3, 11):
             assert list(compiled.iter_level_sequences(n, use_jump=False)) == list(
                 pure.iter_level_sequences(n, use_jump=False)
             )
 
-    def test_stats_bit_identical(self):
+    def test_stats_bit_identical(self, compiled):
         for n in range(1, 12):
             for levels in pure.iter_level_sequences(n):
                 assert compiled.tree_stats_from_levels(levels) == (
                     pure.tree_stats_from_levels(levels)
                 )
 
-    def test_order_fold_bit_identical(self):
+    def test_order_fold_bit_identical(self, compiled):
         for n in range(1, 13):
             assert order_fold(n, kern=compiled) == order_fold(n, kern=pure)
 
-    def test_rooted_streams_identical(self):
+    def test_rooted_streams_identical(self, compiled):
         for n in range(1, 10):
             assert list(compiled.iter_rooted_level_sequences(n)) == list(
                 pure.iter_rooted_level_sequences(n)
@@ -127,17 +170,10 @@ class TestBackendSelection:
 
 
 class TestGeneratedSource:
-    def test_committed_c_matches_the_pyx(self, monkeypatch):
+    def test_committed_c_matches_the_pyx(self):
         # the benchmark compiles the committed .c and refuses it when stale;
         # an edit to the .pyx needs a regenerated .c in the same change
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_build", root / "perfbench" / "build.py"
-        )
-        build = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, build)  # dataclasses look it up
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read-only import
-        spec.loader.exec_module(build)
+        build = _perfbench_build()
         checked, stale = build.stale_markers(
             build.KERNELS / "_speedups.c", build.KERNELS / "_speedups.pyx"
         )

@@ -154,42 +154,34 @@ class TestCaseMoves:
         t = caterpillar_case_11()
         assert classify(t) is TreeClass.OTHER
         assert lemma1_case_tag(t) == "1.1"
-        out = apply_lemma1_case(t, "1.1")
+        out = apply_lemma1_case(t)
         assert independence_number(out) == independence_number(t)
         assert sombor_index(out) - sombor_index(t) > 1e-6
 
     def test_case_12_adjacent_pair(self):
         t = adjacent_case_12()
         assert lemma1_case_tag(t) == "1.2"
-        out = apply_lemma1_case(t, "1.2")
+        out = apply_lemma1_case(t)
         assert independence_number(out) == independence_number(t)
         assert sombor_index(out) - sombor_index(t) > 1e-6
 
     def test_case_12_separated_pair(self):
         t = separated_case_12()
         assert lemma1_case_tag(t) == "1.2"
-        out = apply_lemma1_case(t, "1.2")
+        out = apply_lemma1_case(t)
         assert independence_number(out) == independence_number(t)
         assert sombor_index(out) - sombor_index(t) > 1e-6
 
     def test_case_3_double_spider(self):
         t = double_spider_case_3()
         assert lemma1_case_tag(t) == "3"
-        out = apply_lemma1_case(t, "3")
+        out = apply_lemma1_case(t)
         assert independence_number(out) == independence_number(t)
         assert sombor_index(out) - sombor_index(t) > 1e-6
 
-    def test_wrong_tag_names_the_actual_case(self):
-        with pytest.raises(PreconditionError, match="realizes case 1.1"):
-            apply_lemma1_case(caterpillar_case_11(), "2")
-
     def test_t1_input_is_rejected(self):
         with pytest.raises(PreconditionError, match="T1"):
-            apply_lemma1_case(double_star(), "1.1")
-
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown case tag"):
-            apply_lemma1_case(caterpillar_case_11(), "4")
+            apply_lemma1_case(double_star())
 
 
 class TestLemma2Step:
@@ -245,7 +237,7 @@ class TestExhaustiveSweep:
                 alpha = independence_number(t)
                 so = sombor_index(t)
                 if label is TreeClass.OTHER:
-                    out = apply_lemma1_case(t, lemma1_case_tag(t))
+                    out = apply_lemma1_case(t)
                 elif label is TreeClass.T2:
                     out = apply_lemma2_step(t)
                     assert classify(out) in (TreeClass.T1, TreeClass.TSTAR)

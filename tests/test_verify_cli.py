@@ -1,6 +1,7 @@
 """Verification driver records/CSV and the CLI surface end to end."""
 
 import dataclasses
+import importlib
 import math
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,6 +13,7 @@ from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, canonical_code, format_edge_list
 from sombor_trees.verify import (
+    SO_TOL,
     VerificationReport,
     render_text,
     to_csv,
@@ -84,9 +86,19 @@ class TestVerifyDriver:
         assert rec.passed
         wrong_value = dataclasses.replace(rec, closed_form=rec.closed_form + 1.0)
         wrong_tree = dataclasses.replace(rec, maximizer_levels=(0, 1, 2, 3, 1, 2))  # P6
-        for bad in (wrong_value, wrong_tree):
+        near_tie = dataclasses.replace(rec, margin_to_second=SO_TOL / 2)
+        exact_tie = dataclasses.replace(rec, maximizer_count=2)
+        for bad in (wrong_value, wrong_tree, near_tie, exact_tie):
             assert not bad.passed
             assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_verdict_does_not_depend_on_so_tol(self, monkeypatch, tol):
+        default = to_csv(verify(2, 14))
+        # the package's attribute verify is the function, not the module
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "SO_TOL", tol)
+        assert to_csv(verify(2, 14)) == default
 
 
 class TestCsv:
