@@ -119,7 +119,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SomborTreesError, OSError) as exc:
+    except (SomborTreesError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenProcessPool as exc:  # a worker died: an error, never a violation

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import InfeasibleParamsError
-from .tree import Tree, canonical_code, strip_pendants
+from .tree import Tree
 
 
 class TreeClass(Enum):
@@ -65,14 +65,7 @@ def construct_t_star(order: int, alpha: int) -> Tree:
     """
     p = ExtremalParams(order, alpha)
     n, a = p.order, p.alpha
-    arms = n - a - 1  # non-hub core vertices, each carrying one pendant
-    edges = []
-    for i in range(1, arms + 1):
-        edges.append((0, i))
-        edges.append((i, arms + i))
-    for j in range(2 * arms + 1, n):
-        edges.append((0, j))
-    return Tree.from_edges(n, edges)
+    return _star_with_pendants(n - a, 2 * a - n + 1, (1,) * (n - a - 1))
 
 
 def t_star_levels(order: int, alpha: int) -> tuple[int, ...]:
@@ -94,17 +87,29 @@ def closed_form_max(order: int, alpha: int) -> float:
     )
 
 
-def _is_star(t: Tree) -> bool:
-    return t.order <= 2 or max(t.degrees) == t.order - 1
+def star_core(t: Tree) -> tuple[int, dict[int, int]] | None:
+    """The star core of a tree of order >= 3: (hub, {core vertex: pendant
+    count}) over the non-pendant vertices, or None when they do not induce a
+    star.
 
-
-def _star_center(t: Tree) -> int:
-    """Unique max-degree vertex of a star of order >= 3."""
-    return max(range(t.order), key=lambda v: t.degrees[v])
+    The hub is the core vertex of largest core degree (its degree minus its
+    pendants).  On a two-vertex core it is the end with more pendants, the
+    smaller id on a tie.
+    """
+    deg = t.degrees
+    counts = {
+        w: sum(deg[z] == 1 for z in t.adjacency[w])
+        for w in range(t.order)
+        if deg[w] >= 2
+    }
+    hub = min(counts, key=lambda w: (counts[w] - deg[w], -counts[w], w))
+    if deg[hub] - counts[hub] != len(counts) - 1:
+        return None
+    return hub, counts
 
 
 def classify(t: Tree) -> TreeClass:
-    """Structural family test: strip pendants and inspect the core.
+    """Structural family test on the star core (see star_core).
 
     A core that is a star with every vertex carrying a pendant is T1 (TStar
     when the non-hub pendant counts are all exactly one); a star core whose
@@ -112,28 +117,18 @@ def classify(t: Tree) -> TreeClass:
     """
     if t.order <= 2:
         return TreeClass.STAR
-    core, old_of = strip_pendants(t)
-    if core.order == 1:
-        return TreeClass.STAR
-    if not _is_star(core):
+    core = star_core(t)
+    if core is None:
         return TreeClass.OTHER
-    pend_count = [
-        sum(1 for u in t.adjacency[old] if t.degrees[u] == 1) for old in old_of
-    ]
-    if core.order == 2:
-        # two-vertex core: either end works as the hub
-        if min(pend_count) == 0:
-            return TreeClass.OTHER
-        return TreeClass.TSTAR if min(pend_count) == 1 else TreeClass.T1
-    hub = _star_center(core)
-    others = [v for v in range(core.order) if v != hub]
-    if any(pend_count[v] == 0 for v in others):
-        return TreeClass.OTHER  # impossible for a core leaf; keeps the function total
-    if pend_count[hub] >= 1:
-        if all(pend_count[v] == 1 for v in others):
+    hub, counts = core
+    if len(counts) == 1:
+        return TreeClass.STAR
+    # every non-hub core vertex is a core leaf, so it carries a pendant
+    if counts[hub] >= 1:
+        if all(c == 1 for w, c in counts.items() if w != hub):
             return TreeClass.TSTAR
         return TreeClass.T1
-    implied_alpha = t.order - core.order + 1
+    implied_alpha = t.order - len(counts) + 1
     if 2 * implied_alpha == t.order:
         return TreeClass.OTHER  # the bare-hub family is only defined away from alpha = n/2
     return TreeClass.T2
@@ -168,10 +163,6 @@ def theorem_shift_inequality(l: int, k: int) -> bool:
 
 def _pendant_distributions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing compositions of total into exactly `parts` parts >= 1."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
 
     def rec(remaining: int, parts_left: int, cap: int):
         if parts_left == 1:
@@ -187,8 +178,8 @@ def _pendant_distributions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:
     """Star core with `hub_count` pendants on the hub and leaf_counts[i] on
-    core leaf i+1.  Numbering mirrors construct_t_star: hub 0, core leaves,
-    leaf pendants grouped per leaf, hub pendants last."""
+    core leaf i+1.  Numbering: hub 0, core leaves, leaf pendants grouped per
+    leaf, hub pendants last."""
     edges = []
     nxt = core_size
     for i in range(1, core_size):
@@ -212,14 +203,11 @@ def t1_members(order: int, alpha: int) -> Iterator[Tree]:
         raise InfeasibleParamsError(
             f"the T1 family needs order - alpha >= 2, got {s}"
         )
-    seen = set()
     for hub_count in range(1, alpha - (s - 1) + 1):
         for leaf_counts in _pendant_distributions(alpha - hub_count, s - 1):
-            t = _star_with_pendants(s, hub_count, leaf_counts)
-            code = canonical_code(t)
-            if code not in seen:  # two-vertex cores collide across hub choices
-                seen.add(code)
-                yield t
+            if s == 2 and hub_count > leaf_counts[0]:
+                continue  # a two-vertex core with its ends swapped: seen already
+            yield _star_with_pendants(s, hub_count, leaf_counts)
 
 
 def t2_members(order: int, alpha: int) -> Iterator[Tree]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
-from .extremal import TreeClass, classify
+from .extremal import TreeClass, classify, star_core
 from .tree import Tree, strip_pendants, tree_path
 
 @dataclass(frozen=True)
@@ -213,14 +213,6 @@ def apply_lemma1_case(t: Tree) -> Tree:
     return shift_neighbors(t, ShiftSpec(cfg.u, cfg.v, cfg.u_heavy))
 
 
-def _core_pendant_counts(t: Tree) -> tuple[Tree, tuple[int, ...], list[int]]:
-    core, old_of = strip_pendants(t)
-    counts = [
-        sum(1 for z in t.adjacency[old] if t.degrees[z] == 1) for old in old_of
-    ]
-    return core, old_of, counts
-
-
 def apply_lemma2_step(t: Tree) -> Tree:
     """Empty the first loaded core leaf of a T2 tree onto the bare hub.
 
@@ -229,9 +221,8 @@ def apply_lemma2_step(t: Tree) -> Tree:
     label = classify(t)
     if label is not TreeClass.T2:
         raise PreconditionError(f"expected a T2 tree, classify gave {label.value}")
-    core, old_of = strip_pendants(t)
-    hub = old_of[max(range(core.order), key=lambda v: core.degrees[v])]
-    leaf = min(old for old in old_of if old != hub)
+    hub, counts = star_core(t)
+    leaf = min(w for w in counts if w != hub)
     moved = tuple(z for z in t.adjacency[leaf] if t.degrees[z] == 1)
     return shift_neighbors(t, ShiftSpec(leaf, hub, moved))
 
@@ -246,14 +237,8 @@ def apply_theorem_step(t: Tree) -> Optional[Tree]:
         return None
     if label is not TreeClass.T1:
         raise PreconditionError(f"expected a T1 tree, classify gave {label.value}")
-    core, old_of, counts = _core_pendant_counts(t)
-    by_old = dict(zip(old_of, counts))
-    if core.order == 2:
-        # either end could serve as the hub; keep the heavier one
-        hub = min(old_of, key=lambda w: (-by_old[w], w))
-    else:
-        hub = old_of[max(range(core.order), key=lambda v: core.degrees[v])]
-    loaded = [w for w in old_of if w != hub and by_old[w] >= 2]
+    hub, counts = star_core(t)
+    loaded = [w for w, c in counts.items() if w != hub and c >= 2]
     donor = min(loaded)  # nonempty: the tree is T1 but not TStar
     pendants = sorted(z for z in t.adjacency[donor] if t.degrees[z] == 1)
     return shift_neighbors(t, ShiftSpec(donor, hub, tuple(pendants[1:])))

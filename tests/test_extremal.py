@@ -72,6 +72,8 @@ class TestConstruction:
                 arms = n - alpha - 1
                 assert all(t.degrees[i] == 2 for i in range(1, arms + 1))
                 assert all(t.degrees[i] == 1 for i in range(arms + 1, n))
+                # the promised numbering: arm i carries pendant arms + i
+                assert all(t.adjacency[i] == (0, arms + i) for i in range(1, arms + 1))
                 assert independence_number(t) == alpha
 
     def test_alpha_matches_oracle_to_12(self):
@@ -154,10 +156,17 @@ class TestClassify:
 
     def test_generated_t1_members_classify_back(self):
         for n in range(4, 13):
+            in_t1 = {}  # alpha -> codes of the stream trees classify puts in T1
+            for levels in pure.iter_level_sequences(n):
+                t = Tree.from_level_sequence(levels)
+                if classify(t) in (TreeClass.T1, TreeClass.TSTAR):
+                    in_t1.setdefault(independence_number(t), []).append(canonical_code(t))
             for alpha in feasible_alpha_range(n):
                 if n - alpha < 2:
                     continue
                 members = list(t1_members(n, alpha))
+                # one member per class, and every class the stream holds
+                assert sorted(canonical_code(t) for t in members) == sorted(in_t1[alpha])
                 assert members, (n, alpha)
                 star_code = canonical_code(construct_t_star(n, alpha))
                 for t in members:

@@ -207,6 +207,17 @@ class TestTheoremStep:
     def test_maximizer_is_a_fixed_point(self):
         assert apply_theorem_step(construct_t_star(8, 5)) is None
 
+    def test_two_vertex_core_hub_is_the_heavier_end(self):
+        # equal pendant counts: the smaller id is the hub and keeps the surplus
+        assert apply_theorem_step(double_star()) == Tree.from_edges(
+            6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 4)]
+        )
+        # vertex 1 carries three pendants to vertex 0's two: 1 is the hub
+        t = Tree.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+        assert apply_theorem_step(t) == Tree.from_edges(
+            7, [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (1, 6)]
+        )
+
     def test_rejects_other_trees(self):
         with pytest.raises(PreconditionError):
             apply_theorem_step(Tree.path(7))

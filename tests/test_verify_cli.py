@@ -245,6 +245,7 @@ USAGE_ERRORS = {
     "compute": [
         ["compute", "--input", "{tmp}/missing.txt"],
         ["compute", "--input", "{tmp}/bad.txt"],
+        ["compute", "--input", "{tmp}/not_utf8.txt"],
     ],
     "construct": [
         ["construct", "--n", "0", "--alpha", "0", "--output", "{tmp}/t.txt"],
@@ -269,6 +270,7 @@ class TestExitCodeContract:
     @pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
     def test_usage_error_cannot_exit_1(self, command, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("3\n0 1\n")
+        (tmp_path / "not_utf8.txt").write_bytes(b"\xff\xfe\n")
         for argv in USAGE_ERRORS[command]:
             argv = [a.format(tmp=tmp_path) for a in argv]
             assert _exit_code(argv) == 2, argv
