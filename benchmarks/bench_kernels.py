@@ -3,7 +3,9 @@
 
 Times the two hot paths (draining the free-tree stream, and the one-pass
 order fold that the verifier runs once per order) for a range of orders and
-prints the speedups.  Run from an installed checkout:
+prints the speedups.  Then it times the ``enumerate`` command's work without
+its writes: ``enumerate_family(17, 11)``, each record rendered by
+``format_levels_edge_list``.  Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
 
@@ -13,12 +15,17 @@ The repository's end-to-end benchmark is ``perfbench/run.py``.
 import argparse
 import time
 
+from sombor_trees import _kernels
 from sombor_trees._kernels import order_fold, pure
+from sombor_trees.enumeration import enumerate_family
+from sombor_trees.tree import format_levels_edge_list
 
 try:
     from sombor_trees._kernels import _speedups as compiled
 except ImportError:
     compiled = None
+
+FAMILY = (17, 11)  # the family the end-to-end enumerate workload prints
 
 
 def time_enumerate(mod, n, repeat):
@@ -39,6 +46,24 @@ def time_fold(mod, n, repeat):
         fold = order_fold(n, kern=mod)
         best = min(best, time.perf_counter() - start)
     return best, fold
+
+
+def time_family(mod, n, alpha, repeat):
+    """Render the (n, alpha) family with mod's kernels bound in _kernels,
+    where enumerate_family looks them up."""
+    saved = _kernels.iter_level_sequences, _kernels.tree_stats_from_levels
+    _kernels.iter_level_sequences = mod.iter_level_sequences
+    _kernels.tree_stats_from_levels = mod.tree_stats_from_levels
+    try:
+        best = float("inf")
+        text = ""
+        for _ in range(repeat):
+            start = time.perf_counter()
+            text = "".join(map(format_levels_edge_list, enumerate_family(n, alpha)))
+            best = min(best, time.perf_counter() - start)
+    finally:
+        _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
+    return best, text
 
 
 def main():
@@ -65,6 +90,16 @@ def main():
             assert cfold == pfold, "backends disagree on the fold"
             row += f" {ec:>10.4f}s {fc:>10.4f}s {ep / ec:>6.1f}x {fp / fc:>6.1f}x"
         print(row)
+
+    n, alpha = FAMILY
+    row = f"enumerate_family{FAMILY} + format_levels_edge_list:"
+    tp, text = time_family(pure, n, alpha, args.repeat)
+    row += f" pure {tp:.4f}s"
+    if compiled is not None:
+        tc, ctext = time_family(compiled, n, alpha, args.repeat)
+        assert ctext == text, "backends disagree on the family's edge lists"
+        row += f" compiled {tc:.4f}s {tp / tc:.1f}x"
+    print(row)
 
 
 if __name__ == "__main__":

@@ -56,6 +56,7 @@ from .tree import (
     canonical_code,
     distance,
     format_edge_list,
+    format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
     strip_pendants,
@@ -95,6 +96,7 @@ __all__ = [
     "enumerate_free_trees",
     "feasible_alpha_range",
     "format_edge_list",
+    "format_levels_edge_list",
     "independence_number",
     "independence_number_oracle",
     "lemma1_case_tag",

@@ -10,6 +10,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -18,7 +19,12 @@ from .enumeration import enumerate_family
 from .errors import SomborTreesError
 from .extremal import classify, construct_t_star
 from .invariants import independence_number, sombor_index
-from .tree import canonical_code, format_edge_list, parse_edge_list
+from .tree import (
+    canonical_code,
+    format_edge_list,
+    format_levels_edge_list,
+    parse_edge_list,
+)
 from .verify import DEFAULT_VERIFY_CAP, render_text, to_csv, verify
 
 
@@ -93,15 +99,21 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    first = True
-    count = 0
-    for t in enumerate_family(args.n, args.alpha):
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(format_edge_list(t))
-        first = False
-        count += 1
-    if count == 0:
+    write = sys.stdout.write
+    sep = ""
+    try:
+        for levels in enumerate_family(args.n, args.alpha):
+            write(sep + format_levels_edge_list(levels))
+            sep = "\n"
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early, which is no error.  Point stdout at
+        # devnull so the flush at interpreter exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    if not sep:
         print("family empty", file=sys.stderr)
     return 0
 

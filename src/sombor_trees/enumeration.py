@@ -23,17 +23,18 @@ DEFAULT_ORDER_CAP = 20
 
 def enumerate_free_trees(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[Tree]:
     """Yield one tree per isomorphism class of order n, deterministically."""
-    return enumerate_family(n, cap=cap)
+    return map(Tree.from_level_sequence, enumerate_family(n, cap=cap))
 
 
 def enumerate_family(
     n: int, alpha: int | None = None, cap: int = DEFAULT_ORDER_CAP
-) -> Iterator[Tree]:
-    """The subset of the order-n stream with independence number alpha (all
-    of it when alpha is None).
+) -> Iterator[tuple[int, ...]]:
+    """The canonical level sequences of the order-n stream with independence
+    number alpha (all of them when alpha is None).
 
-    The kernel decides alpha from the level sequence, so a Tree is built only
-    for the trees emitted.  Infeasible alphas simply produce an empty stream.
+    The kernel decides alpha from the level sequence, and no Tree is built;
+    ``tree.format_levels_edge_list`` prints a sequence as an edge list.
+    Infeasible alphas simply produce an empty stream.
     """
     if n < 1:
         raise OrderRangeError(f"order must be >= 1, got {n}")
@@ -41,7 +42,7 @@ def enumerate_family(
         raise SizeLimitError(f"order {n} exceeds the enumeration cap {cap}")
     for levels in _kernels.iter_level_sequences(n):
         if alpha is None or _kernels.tree_stats_from_levels(levels)[1] == alpha:
-            yield Tree.from_level_sequence(levels)
+            yield levels
 
 
 def prufer_to_tree(seq: Sequence[int], order: int) -> Tree:

@@ -17,6 +17,23 @@ from .errors import EdgeListParseError, TreeStructureError
 CanonicalCode = str
 
 
+def _level_parents(levels: Sequence[int]) -> list[int]:
+    """Parent of each vertex of a preorder depth sequence starting at level 0;
+    the root's entry is -1.  Every parent precedes its children."""
+    n = len(levels)
+    if n < 1 or levels[0] != 0:
+        raise ValueError("level sequence must start with 0")
+    parents = [-1] * n
+    last_at = [0] * (n + 1)
+    for i in range(1, n):
+        li = levels[i]
+        if not 1 <= li <= levels[i - 1] + 1:
+            raise ValueError(f"level jump at position {i}")
+        parents[i] = last_at[li - 1]
+        last_at[li] = i
+    return parents
+
+
 class Tree:
     """Undirected tree stored as a tuple of sorted neighbor tuples.
 
@@ -79,19 +96,13 @@ class Tree:
     @classmethod
     def from_level_sequence(cls, levels: Sequence[int]) -> "Tree":
         """Build from a preorder depth sequence starting at level 0."""
-        n = len(levels)
-        if n < 1 or levels[0] != 0:
-            raise ValueError("level sequence must start with 0")
+        parents = _level_parents(levels)
+        n = len(parents)
         adj: list[list[int]] = [[] for _ in range(n)]
-        last_at = [0] * (n + 1)
         for i in range(1, n):
-            li = levels[i]
-            if not 1 <= li <= levels[i - 1] + 1:
-                raise ValueError(f"level jump at position {i}")
-            p = last_at[li - 1]
+            p = parents[i]
             adj[p].append(i)
             adj[i].append(p)
-            last_at[li] = i
         return cls(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
     @classmethod
@@ -318,3 +329,18 @@ def format_edge_list(t: Tree) -> str:
     out = [str(t.order)]
     out.extend(f"{u} {v}" for u, v in t.edges())
     return "\n".join(out) + "\n"
+
+
+def format_levels_edge_list(levels: Sequence[int]) -> str:
+    """``format_edge_list(Tree.from_level_sequence(levels))``, without the Tree.
+
+    Every parent precedes its children, so the edges (parent[v], v) ordered
+    by parent, children in increasing order, are exactly ``Tree.edges()``.
+    """
+    parents = _level_parents(levels)
+    n = len(parents)
+    children = sorted(range(1, n), key=parents.__getitem__)
+    fields = [n] * (2 * n - 1)
+    fields[1::2] = [parents[v] for v in children]
+    fields[2::2] = children
+    return ("%d\n" + "%d %d\n" * (n - 1)) % tuple(fields)

@@ -1,14 +1,59 @@
-"""Shared helpers: cached enumeration sweeps, the labeled-tree reference
-oracle (Prüfer decoding + isomorphism-class interning), and tree automorphism
-counts for the exact Cayley cross-check."""
+"""Shared helpers: the compiled-backend fixture, cached enumeration sweeps,
+the labeled-tree reference oracle (Prüfer decoding + isomorphism-class
+interning), and tree automorphism counts for the exact Cayley cross-check."""
 
 import heapq
+import importlib.util
 import itertools
 import math
+import sys
 from functools import lru_cache
+from pathlib import Path
+
+import pytest
 
 from sombor_trees.enumeration import enumerate_free_trees
 from sombor_trees.tree import Tree
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_build():
+    """Import perfbench/build.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_build", ROOT / "perfbench" / "build.py"
+    )
+    build = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, build)  # dataclasses look it up
+        mp.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(build)
+    return build
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled backend module.  Without an installed extension, the
+    committed ``_speedups.c`` is compiled into a temporary directory and
+    loaded from there."""
+    try:
+        from sombor_trees._kernels import _speedups
+
+        return _speedups
+    except ImportError:
+        pass
+    build = perfbench_build()
+    out = tmp_path_factory.mktemp("speedups")
+    _, error = build._compile(build.KERNELS / "_speedups.c", out)
+    if error is not None:
+        pytest.skip(f"compiled backend could not be built: {error}")
+    (path,) = out.glob("_speedups*")
+    spec = importlib.util.spec_from_file_location(
+        "sombor_trees._kernels._speedups", path
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

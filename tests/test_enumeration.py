@@ -11,7 +11,7 @@ from sombor_trees.enumeration import (
 )
 from sombor_trees.errors import OrderRangeError, SizeLimitError
 from sombor_trees.invariants import independence_number
-from sombor_trees.tree import canonical_code, format_edge_list
+from sombor_trees.tree import Tree, canonical_code
 
 from conftest import grow_by_leaf, prufer_iso_classes, trees_of_order
 
@@ -32,8 +32,6 @@ class TestCounts:
 
     def test_order_4_is_path_and_star(self):
         codes = {canonical_code(t) for t in trees_of_order(4)}
-        from sombor_trees.tree import Tree
-
         assert codes == {canonical_code(Tree.path(4)), canonical_code(Tree.star(4))}
 
     def test_cap_enforced(self):
@@ -85,9 +83,9 @@ class TestDeterminism:
 
 class TestFamilies:
     def test_alpha_n_minus_1_is_the_star(self):
-        trees = list(enumerate_family(6, 5))
-        assert len(trees) == 1
-        assert trees[0].degrees.count(5) == 1
+        family = list(enumerate_family(6, 5))
+        assert family == [(0, 1, 1, 1, 1, 1)]
+        assert Tree.from_level_sequence(family[0]).degrees.count(5) == 1
 
     def test_infeasible_alpha_is_empty(self):
         assert list(enumerate_family(6, 2)) == []
@@ -98,14 +96,14 @@ class TestFamilies:
     def test_filter_matches_library_dp(self):
         # the kernel's alpha decides membership; the adjacency DP must agree
         for n in range(1, 12):
+            stream = list(enumerate_family(n))
             for alpha in range(1, n + 1):
                 expected = [
-                    format_edge_list(t)
-                    for t in enumerate_free_trees(n)
-                    if independence_number(t) == alpha
+                    levels
+                    for levels in stream
+                    if independence_number(Tree.from_level_sequence(levels)) == alpha
                 ]
-                got = [format_edge_list(t) for t in enumerate_family(n, alpha)]
-                assert got == expected, (n, alpha)
+                assert list(enumerate_family(n, alpha)) == expected, (n, alpha)
 
     def test_family_sizes_partition_the_order(self):
         import math

@@ -1,14 +1,9 @@
 """Backend parity: the compiled kernels must match the pure backend bit for
 bit, and both must agree with the adjacency-based library routines.  The
-one-pass order fold must equal a separate fold per alpha.
+one-pass order fold must equal a separate fold per alpha.  The ``compiled``
+fixture lives in conftest.py."""
 
-Without an installed extension, the parity tests compile the committed
-``_speedups.c`` into a temporary directory and load it from there."""
-
-import importlib.util
 import math
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,43 +13,7 @@ from sombor_trees._kernels import order_fold, pure
 from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.tree import Tree
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _perfbench_build():
-    """Import perfbench/build.py without writing bytecode next to it."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_build", ROOT / "perfbench" / "build.py"
-    )
-    build = importlib.util.module_from_spec(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, spec.name, build)  # dataclasses look it up
-        mp.setattr(sys, "dont_write_bytecode", True)
-        spec.loader.exec_module(build)
-    return build
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled backend, built from the committed .c when not installed."""
-    try:
-        from sombor_trees._kernels import _speedups
-
-        return _speedups
-    except ImportError:
-        pass
-    build = _perfbench_build()
-    out = tmp_path_factory.mktemp("speedups")
-    _, error = build._compile(build.KERNELS / "_speedups.c", out)
-    if error is not None:
-        pytest.skip(f"compiled backend could not be built: {error}")
-    (path,) = out.glob("_speedups*")
-    spec = importlib.util.spec_from_file_location(
-        "sombor_trees._kernels._speedups", path
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import perfbench_build
 
 
 class TestPureKernels:
@@ -173,7 +132,7 @@ class TestGeneratedSource:
     def test_committed_c_matches_the_pyx(self):
         # the benchmark compiles the committed .c and refuses it when stale;
         # an edit to the .pyx needs a regenerated .c in the same change
-        build = _perfbench_build()
+        build = perfbench_build()
         checked, stale = build.stale_markers(
             build.KERNELS / "_speedups.c", build.KERNELS / "_speedups.pyx"
         )

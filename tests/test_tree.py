@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sombor_trees._kernels import pure
 from sombor_trees.enumeration import prufer_to_tree, random_tree
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
 from sombor_trees.extremal import construct_t_star
@@ -13,6 +14,7 @@ from sombor_trees.tree import (
     canonical_code,
     distance,
     format_edge_list,
+    format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
     strip_pendants,
@@ -226,6 +228,22 @@ class TestEdgeListFormat:
 
     def test_order_one_rendering(self):
         assert format_edge_list(Tree.from_edges(1, [])) == "1\n"
+
+    def test_levels_rendering_matches_tree_rendering(self):
+        for n in range(1, 15):
+            for levels in pure.iter_level_sequences(n):
+                assert format_levels_edge_list(levels) == format_edge_list(
+                    Tree.from_level_sequence(levels)
+                ), levels
+        assert format_levels_edge_list((0,)) == "1\n"
+        assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
+
+    @pytest.mark.parametrize("levels", [(), (1, 0), (0, 2)])
+    def test_bad_level_sequence_rejected(self, levels):
+        with pytest.raises(ValueError):
+            format_levels_edge_list(levels)
+        with pytest.raises(ValueError):
+            Tree.from_level_sequence(levels)
 
     def test_self_loop_reports_line(self):
         with pytest.raises(EdgeListParseError, match="line 2: self-loop") as info:

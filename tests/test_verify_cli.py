@@ -1,13 +1,19 @@
 """Verification driver records/CSV and the CLI surface end to end."""
 
 import dataclasses
+import hashlib
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from sombor_trees import cli
+from sombor_trees import _kernels, cli
+from sombor_trees._kernels import pure
 from sombor_trees.cli import main
 from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
@@ -19,6 +25,8 @@ from sombor_trees.verify import (
     to_csv,
     verify,
 )
+
+from conftest import ROOT
 
 
 def _record(order, alpha):
@@ -198,6 +206,38 @@ class TestCliEnumerate:
     def test_cap_is_a_usage_error(self, capsys):
         assert main(["enumerate", "--n", "21"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_stdout_matches_reference_digests(self, backend, request, monkeypatch, capsys):
+        # the benchmark's reference bytes; (17, 11) is too slow for pure
+        reference = json.loads(
+            (ROOT / "perfbench" / "reference" / "enumerate.json").read_text(encoding="utf-8")
+        )
+        kern = pure if backend == "pure" else request.getfixturevalue("compiled")
+        monkeypatch.setattr(_kernels, "iter_level_sequences", kern.iter_level_sequences)
+        monkeypatch.setattr(_kernels, "tree_stats_from_levels", kern.tree_stats_from_levels)
+        cells = [(8, 5)] if backend == "pure" else [(8, 5), (17, 11)]
+        for n, alpha in cells:
+            assert main(["enumerate", "--n", str(n), "--alpha", str(alpha)]) == 0
+            out = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(out).hexdigest() == reference[f"{n},{alpha}"], (n, alpha)
+
+    def test_reader_closing_the_pipe_is_no_error(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sombor_trees", "enumerate", "--n", "14"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"14\n"
+        proc.stdout.close()  # far more output than the pipe buffer is still to come
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 class TestCliVerifyAndTable:
