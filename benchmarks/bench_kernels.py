@@ -3,8 +3,10 @@
 
 Times the two hot paths (draining the free-tree stream, and the one-pass
 order fold that the verifier runs once per order) for a range of orders and
-prints the speedups.  Then it times the ``enumerate`` command's work without
-its writes: ``enumerate_family(17, 11)``, each record rendered by
+prints the speedups.  Outside the timed region it checks that both backends
+drain the same stream, by a sha256 over each order's sequences.  Then it
+times the ``enumerate`` command's work without its writes:
+``enumerate_family(17, 11)``, each record rendered by
 ``format_levels_edge_list``.  Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
@@ -13,6 +15,7 @@ The repository's end-to-end benchmark is ``perfbench/run.py``.
 """
 
 import argparse
+import hashlib
 import time
 
 from sombor_trees import _kernels
@@ -36,6 +39,13 @@ def time_enumerate(mod, n, repeat):
         count = sum(1 for _ in mod.iter_level_sequences(n))
         best = min(best, time.perf_counter() - start)
     return best, count
+
+
+def stream_digest(mod, n):
+    h = hashlib.sha256()
+    for levels in mod.iter_level_sequences(n):
+        h.update(bytes(levels))
+    return h.hexdigest()
 
 
 def time_fold(mod, n, repeat):
@@ -87,6 +97,9 @@ def main():
             ec, ccount = time_enumerate(compiled, n, args.repeat)
             fc, cfold = time_fold(compiled, n, args.repeat)
             assert ccount == count, "backends disagree on the tree count"
+            assert stream_digest(compiled, n) == stream_digest(pure, n), (
+                "backends disagree on the stream"
+            )
             assert cfold == pfold, "backends disagree on the fold"
             row += f" {ec:>10.4f}s {fc:>10.4f}s {ep / ec:>6.1f}x {fp / fc:>6.1f}x"
         print(row)

@@ -5,11 +5,16 @@ root at level 0 and children laid out in non-increasing lexicographic order
 of their subsequences.  Canonical rooted sequences are generated in strictly
 decreasing lexicographic order by the classic chop-and-replicate successor;
 free (unrooted) trees keep exactly one center-rooted representative per
-isomorphism class, and invalid blocks are skipped by forcing the successor at
-the end of the first root subtree.
+isomorphism class.  Invalid blocks are skipped by forcing the successor at
+the end of the first root subtree and, when that leaves the root a single
+deep child, by resetting the tail to a path (Wright, Richmond, Odlyzko &
+McKay, "Constant time generation of free trees", SIAM J. Comput. 15(2),
+1986).  About 1.04 to 1.14 sequences are visited per tree for n = 12..18.
 
 The compiled backend mirrors this module function for function, including the
-floating-point accumulation order, so both produce bit-identical results.
+floating-point accumulation order, so both produce bit-identical results.  Its
+generator still forces the successor without the tail reset (ROADMAP D6
+rewrites it), so it visits more sequences to yield the same stream.
 """
 
 from __future__ import annotations
@@ -116,10 +121,27 @@ def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, .
         valid, m = _free_check(L)
         if valid:
             yield tuple(L)
-            p = None
-        else:
-            p = m - 1 if use_jump else None
-        if not _successor(L, p):
+        elif use_jump:
+            deep = L[m - 1] > 2
+            if not _successor(L, m - 1):
+                return
+            if deep:
+                # Tail reset of Wright, Richmond, Odlyzko & McKay (1986).  The
+                # forced successor copied a subtree at level >= 2 to the end,
+                # so the root has one child; let h + 1 be the tree's height.
+                # L is still below the start, the center-rooted path, so
+                # h + 1 < n // 2 and the first chain 0, 1, ..., h + 1 ends
+                # before index n - h - 1.  Every sequence skipped, down to the
+                # tail 1, 2, ..., h + 1, keeps L[:n - h - 1]: its first root
+                # subtree reaches level h + 1, and its second starts after
+                # index n - h - 1.  With at most h vertices that one reaches
+                # level h only as a path, and then it is the smaller side, so
+                # none of them is valid.  The reset sequence is canonical: its
+                # first subtree starts with the chain and outlasts the path.
+                h = max(L) - 1
+                L[n - h - 1:] = range(1, h + 2)
+            continue
+        if not _successor(L, None):
             return
 
 

@@ -28,6 +28,17 @@ from .tree import (
 from .verify import DEFAULT_VERIFY_CAP, render_text, to_csv, verify
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sombor-trees",
@@ -38,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force check of the closed form over a range of orders")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (orders are independent)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (orders are independent)")
     p.add_argument("--csv", type=Path, default=None, help="also write the table as CSV")
     p.add_argument("--cap", type=int, default=DEFAULT_VERIFY_CAP,
                    help=f"raise the order cap beyond {DEFAULT_VERIFY_CAP} (slow)")

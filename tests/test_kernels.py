@@ -66,6 +66,22 @@ class TestPureKernels:
             for alpha in range(1, n + 1):
                 assert fold.get(alpha) == _fold_one_alpha(n, alpha)
 
+    def test_jump_visits_few_rejected_sequences(self, monkeypatch):
+        # the generator checks every sequence it visits, once
+        visited = 0
+
+        def counting(L):
+            nonlocal visited
+            visited += 1
+            return free_check(L)
+
+        free_check = pure._free_check
+        monkeypatch.setattr(pure, "_free_check", counting)
+        for n in range(12, 19):
+            visited = 0
+            accepted = sum(1 for _ in pure.iter_level_sequences(n))
+            assert visited / accepted <= 1.5, (n, visited, accepted)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             list(pure.iter_level_sequences(0))
@@ -90,7 +106,8 @@ def _fold_one_alpha(n, alpha):
 
 class TestCompiledParity:
     def test_streams_identical(self, compiled):
-        for n in range(1, 13):
+        # the compiled generator does not reset the tail: another path, same stream
+        for n in range(1, 17):
             assert list(compiled.iter_level_sequences(n)) == list(
                 pure.iter_level_sequences(n)
             )

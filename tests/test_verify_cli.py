@@ -281,6 +281,8 @@ USAGE_ERRORS = {
         ["verify", "--n-min", "6", "--n-max", "3"],
         ["verify", "--n-max", "17"],
         ["verify", "--n-max", "five"],
+        ["verify", "--n-max", "3", "--jobs", "0"],
+        ["verify", "--n-max", "3", "--jobs", "-1"],
     ],
     "compute": [
         ["compute", "--input", "{tmp}/missing.txt"],
