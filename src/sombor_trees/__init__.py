@@ -34,7 +34,6 @@ from .extremal import (
     theorem_shift_inequality,
 )
 from .invariants import (
-    IndependentSet,
     independence_number,
     independence_number_oracle,
     pendant_inclusive_mis,
@@ -72,7 +71,6 @@ __all__ = [
     "EdgeListParseError",
     "ExtremalParams",
     "ExtremalRecord",
-    "IndependentSet",
     "InfeasibleParamsError",
     "KERNEL_BACKEND",
     "OrderRangeError",

@@ -1,16 +1,19 @@
 """Degree- and independence-based tree invariants.
 
-The independence number has two routes on purpose: a linear-time rooted DP
-used everywhere, and a subset-sweep oracle kept as ground truth for tests.
+The independence number has two routes on purpose: the kernel's linear-time
+rooted DP, run on a preorder level sequence of the tree, and a subset-sweep
+oracle kept as its independent check in the tests.  ``sombor_index`` sums the
+paper's edge formula directly and is the per-tree reference for the kernel's
+Sombor value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import SizeLimitError, TreeStructureError
-from .tree import Tree
+from . import _kernels
+from .errors import SizeLimitError
+from .tree import Tree, preorder_levels
 
 INDEPENDENCE_ORACLE_MAX = 24
 
@@ -29,30 +32,8 @@ def sombor_index(t: Tree) -> float:
 
 
 def independence_number(t: Tree) -> int:
-    """Size of a maximum independent set, by the two-state rooted DP."""
-    n = t.order
-    if n == 1:
-        return 1
-    parent = [-2] * n
-    parent[0] = -1
-    order = [0]
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in t.adjacency[v]:
-            if parent[u] == -2:
-                parent[u] = v
-                order.append(u)
-                stack.append(u)
-    incl = [1] * n
-    excl = [0] * n
-    for v in reversed(order):
-        if v == 0:
-            break
-        p = parent[v]
-        incl[p] += excl[v]
-        excl[p] += max(incl[v], excl[v])
-    return max(incl[0], excl[0])
+    """Size of a maximum independent set, by the kernel's rooted DP."""
+    return _kernels.tree_stats_from_levels(preorder_levels(t))[1]
 
 
 def independence_number_oracle(t: Tree) -> int:
@@ -83,30 +64,7 @@ def independence_number_oracle(t: Tree) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class IndependentSet:
-    """A pairwise non-adjacent vertex set tied to the order of its host tree."""
-
-    members: frozenset[int]
-    host_order: int
-
-    @classmethod
-    def checked(cls, tree: Tree, members) -> "IndependentSet":
-        ms = frozenset(members)
-        for v in ms:
-            tree._check_vertex(v)
-            for u in tree.adjacency[v]:
-                if u > v and u in ms:
-                    raise TreeStructureError(
-                        f"vertices {v} and {u} are adjacent; set is not independent"
-                    )
-        return cls(ms, tree.order)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def pendant_inclusive_mis(t: Tree) -> IndependentSet:
+def pendant_inclusive_mis(t: Tree) -> frozenset[int]:
     """Maximum independent set built by leaf peeling, so it keeps every pendant.
 
     Rounds: snapshot the degree<=1 vertices of the surviving forest, take them
@@ -140,4 +98,4 @@ def pendant_inclusive_mis(t: Tree) -> IndependentSet:
                 for w in t.adjacency[u]:
                     if alive[w]:
                         deg[w] -= 1
-    return IndependentSet.checked(t, members)
+    return frozenset(members)

@@ -13,11 +13,12 @@ which sweep every applicable tree exhaustively at small orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, classify, star_core
-from .tree import Tree, strip_pendants, tree_path
+from .tree import Tree, distance, strip_pendants, tree_path
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -105,30 +106,11 @@ def select_support_pair(t: Tree) -> tuple[int, int]:
         raise PreconditionError(
             "stripped tree has fewer than 2 support vertices"
         )
-    best: tuple[int, int, int] | None = None  # (-distance, u_old, v_old)
-    for i, a in enumerate(supports):
-        dist = _bfs_distances(core, a)
-        for b in supports[i + 1 :]:
-            cand = (-dist[b], old_of[a], old_of[b])
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best[1], best[2]
-
-
-def _bfs_distances(t: Tree, source: int) -> list[int]:
-    dist = [-1] * t.order
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for z in t.adjacency[w]:
-                if dist[z] < 0:
-                    dist[z] = dist[w] + 1
-                    nxt.append(z)
-        frontier = nxt
-    return dist
+    _, u, v = min(
+        (-distance(core, a, b), old_of[a], old_of[b])
+        for a, b in combinations(supports, 2)
+    )
+    return u, v
 
 
 @dataclass(frozen=True)

@@ -113,10 +113,6 @@ class Tree:
     def star(cls, order: int) -> "Tree":
         return cls.from_edges(order, ((0, i) for i in range(1, order)))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self.degrees[v]
@@ -234,34 +230,40 @@ def tree_centers(t: Tree) -> list[int]:
     return sorted(layer)
 
 
-def _rooted_code(adjacency: Sequence[Sequence[int]], root: int) -> str:
-    """AHU encoding of the rooted tree: children codes sorted and bracketed."""
-    n = len(adjacency)
-    parent = [-1] * n
-    visited = bytearray(n)
-    visited[root] = 1
-    order = [root]
+def preorder_levels(t: Tree, root: int = 0) -> list[int]:
+    """Depth of each vertex in a preorder walk from root, in walk order.
+
+    The result is a valid level sequence of t rooted there, though not always
+    the canonical one.
+    """
+    t._check_vertex(root)
+    depth = [-1] * t.order
+    depth[root] = 0
+    levels = []
     stack = [root]
     while stack:
         v = stack.pop()
-        for u in adjacency[v]:
-            if not visited[u]:
-                visited[u] = 1
-                parent[u] = v
-                order.append(u)
+        d = depth[v]
+        levels.append(d)
+        for u in t.adjacency[v]:
+            if depth[u] < 0:
+                depth[u] = d + 1
                 stack.append(u)
-    child_codes: list[list[str]] = [[] for _ in range(n)]
-    for v in reversed(order):
-        code = "(" + "".join(sorted(child_codes[v])) + ")"
-        if v == root:
-            return code
-        child_codes[parent[v]].append(code)
-    raise AssertionError("unreachable")
+    return levels
+
+
+def _rooted_code(t: Tree, root: int) -> str:
+    """AHU encoding of t rooted at root: children codes sorted and bracketed."""
+    parents = _level_parents(preorder_levels(t, root))
+    child_codes: list[list[str]] = [[] for _ in parents]
+    for v in range(len(parents) - 1, 0, -1):
+        child_codes[parents[v]].append("(" + "".join(sorted(child_codes[v])) + ")")
+    return "(" + "".join(sorted(child_codes[0])) + ")"
 
 
 def canonical_code(t: Tree) -> CanonicalCode:
     """Isomorphism-complete code: AHU at the center, minimum over a 2-center tie."""
-    return min(_rooted_code(t.adjacency, c) for c in tree_centers(t))
+    return min(_rooted_code(t, c) for c in tree_centers(t))
 
 
 def parse_edge_list(text: str) -> Tree:

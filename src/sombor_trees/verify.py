@@ -95,8 +95,10 @@ def verify(
         raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     if n_max > cap:
         raise SizeLimitError(f"n_max {n_max} exceeds the cap {cap}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     orders = range(n_max, n_min - 1, -1)  # largest first, so the pool ends balanced
-    if jobs <= 1:
+    if jobs == 1:
         results = [_verify_order(n) for n in orders]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(orders))) as pool:

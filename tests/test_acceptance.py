@@ -110,14 +110,15 @@ def test_criterion_3_pendant_mis_suite():
             mis = pendant_inclusive_mis(t)
             alpha = independence_number(t)
             good = len(mis) == alpha == independence_number_oracle(t)
+            good &= not any(u in mis for v in mis for u in t.adjacency[v])
             if n >= 3:
-                good &= pendant_vertices(t) <= mis.members
+                good &= pendant_vertices(t) <= mis
             else:
                 # single edge: the two pendants are adjacent; one is kept
-                good &= len(mis.members & pendant_vertices(t)) == 1
+                good &= len(mis & pendant_vertices(t)) == 1
             checked += 1
             failures += not good
-    _report(3, failures == 0, f"{checked} trees n<=12, pendant-keeping MIS == DP == oracle")
+    _report(3, failures == 0, f"{checked} trees n<=12, pendant-keeping MIS independent, == DP == oracle")
     assert failures == 0
 
 

@@ -10,7 +10,7 @@ from sombor_trees.enumeration import (
     prufer_to_tree,
 )
 from sombor_trees.errors import OrderRangeError, SizeLimitError
-from sombor_trees.invariants import independence_number
+from sombor_trees.invariants import independence_number, independence_number_oracle
 from sombor_trees.tree import Tree, canonical_code
 
 from conftest import grow_by_leaf, prufer_iso_classes, trees_of_order
@@ -95,14 +95,16 @@ class TestFamilies:
         assert len(list(enumerate_family(7, 4))) == 6
 
     def test_filter_matches_library_dp(self):
-        # the kernel's alpha decides membership; the adjacency DP must agree
+        # the kernel's alpha decides membership; the subset oracle must agree
         for n in range(1, 12):
             stream = list(enumerate_family(n))
+            alphas = [
+                independence_number_oracle(Tree.from_level_sequence(levels))
+                for levels in stream
+            ]
             for alpha in range(1, n + 1):
                 expected = [
-                    levels
-                    for levels in stream
-                    if independence_number(Tree.from_level_sequence(levels)) == alpha
+                    levels for levels, a in zip(stream, alphas) if a == alpha
                 ]
                 assert list(enumerate_family(n, alpha)) == expected, (n, alpha)
 

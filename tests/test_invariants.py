@@ -7,10 +7,9 @@ import random
 import pytest
 
 from sombor_trees.enumeration import random_tree
-from sombor_trees.errors import SizeLimitError, TreeStructureError
+from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.invariants import (
-    IndependentSet,
     independence_number,
     independence_number_oracle,
     pendant_inclusive_mis,
@@ -87,7 +86,10 @@ class TestIndependenceNumber:
         for n in range(11, 17):
             pool = trees_of_order(n)
             for t in rng.sample(pool, 6):
-                assert independence_number(t) == independence_number_oracle(t)
+                # a relabeled copy is not already numbered in preorder
+                u = t.relabel(rng.sample(range(n), n))
+                alpha = independence_number_oracle(t)
+                assert independence_number(t) == alpha == independence_number(u)
 
     def test_bipartite_bounds(self):
         for n in range(2, 12):
@@ -96,26 +98,16 @@ class TestIndependenceNumber:
                 assert math.ceil(n / 2) <= alpha <= n - 1
 
 
-class TestIndependentSetType:
-    def test_checked_rejects_adjacent_members(self):
-        with pytest.raises(TreeStructureError, match="adjacent"):
-            IndependentSet.checked(Tree.path(3), {0, 1})
-
-    def test_checked_accepts_alternation(self):
-        s = IndependentSet.checked(Tree.path(4), {0, 2})
-        assert len(s) == 2 and s.host_order == 4
-
-
 class TestPendantInclusiveMis:
     def test_star_keeps_all_leaves(self):
-        assert pendant_inclusive_mis(Tree.star(5)).members == {1, 2, 3, 4}
+        assert pendant_inclusive_mis(Tree.star(5)) == {1, 2, 3, 4}
 
     def test_path4_keeps_both_ends(self):
-        assert pendant_inclusive_mis(Tree.path(4)).members == {0, 3}
+        assert pendant_inclusive_mis(Tree.path(4)) == {0, 3}
 
     def test_t_star_6_4_keeps_the_four_pendants(self):
         t = construct_t_star(6, 4)
-        assert pendant_inclusive_mis(t).members == {2, 3, 4, 5}
+        assert pendant_inclusive_mis(t) == {2, 3, 4, 5}
 
     def test_rejects_single_vertex(self):
         with pytest.raises(ValueError):
@@ -130,5 +122,6 @@ class TestPendantInclusiveMis:
         for n in range(3, 13):
             for t in trees_of_order(n):
                 mis = pendant_inclusive_mis(t)
-                assert pendant_vertices(t) <= mis.members
+                assert pendant_vertices(t) <= mis
+                assert not any(u in mis for v in mis for u in t.adjacency[v])
                 assert len(mis) == independence_number(t)

@@ -74,6 +74,11 @@ class TestVerifyDriver:
         with pytest.raises(ValueError):
             verify(5, 3)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            verify(2, 5, jobs=jobs)
+
     def test_parallel_matches_serial(self):
         serial = verify(2, 9)
         parallel = verify(2, 9, jobs=2)
