@@ -39,6 +39,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _write_stdout(chunks, sep: str = "") -> int:
+    """Every subcommand's stdout: write chunks, sep between them, and flush;
+    return how many chunks there were.  A reader that closes the pipe early
+    is no error: the first failed write ends the output, and stdout is pointed
+    at devnull so the flush at interpreter exit raises nothing."""
+    write = sys.stdout.write
+    count = 0
+    try:
+        for count, chunk in enumerate(chunks, 1):
+            write(chunk if count == 1 else sep + chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sombor-trees",
@@ -81,7 +99,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
     report = verify(args.n_min, args.n_max, jobs=args.jobs, cap=args.cap)
-    sys.stdout.write(render_text(report))
+    _write_stdout([render_text(report)])
     if args.csv is not None:
         args.csv.write_text(to_csv(report), encoding="utf-8")
     return 0 if report.overall else 1
@@ -92,8 +110,8 @@ def _cmd_compute(args) -> int:
     so = sombor_index(t)
     alpha = independence_number(t)
     label = classify(t)
-    print(f"SO={so:.9f} alpha={alpha} class={label.value}")
-    print(f"code={canonical_code(t)}")
+    _write_stdout([f"SO={so:.9f} alpha={alpha} class={label.value}\n"
+                   f"code={canonical_code(t)}\n"])
     return 0
 
 
@@ -111,21 +129,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    write = sys.stdout.write
-    sep = ""
-    try:
-        for levels in enumerate_family(args.n, args.alpha):
-            write(sep + format_levels_edge_list(levels))
-            sep = "\n"
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early, which is no error.  Point stdout at
-        # devnull so the flush at interpreter exit raises nothing.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 0
-    if not sep:
+    records = map(format_levels_edge_list, enumerate_family(args.n, args.alpha))
+    if not _write_stdout(records, sep="\n"):
         print("family empty", file=sys.stderr)
     return 0
 

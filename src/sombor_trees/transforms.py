@@ -13,12 +13,11 @@ which sweep every applicable tree exhaustively at small orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, classify, star_core
-from .tree import Tree, distance, strip_pendants, tree_path
+from .tree import Tree, distances_from, strip_pendants, tree_path
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -107,8 +106,11 @@ def select_support_pair(t: Tree) -> tuple[int, int]:
             "stripped tree has fewer than 2 support vertices"
         )
     _, u, v = min(
-        (-distance(core, a, b), old_of[a], old_of[b])
-        for a, b in combinations(supports, 2)
+        (-dist[b], old_of[a], old_of[b])
+        for a in supports
+        for dist in [distances_from(core, a)]
+        for b in supports
+        if b > a
     )
     return u, v
 
@@ -119,7 +121,7 @@ class _CaseConfig:
 
     u/v are the pair (roles already normalized for the detected case), x/y
     their path neighbors toward each other (x == y at distance 2, x == v and
-    y == u when the pair is adjacent), a/b their pendant-neighbor counts, and
+    y == u when the pair is adjacent), v_pendants v's pendant neighbors, and
     the heavy tuples their remaining degree->=2 neighbors off the path.
     """
 
@@ -127,9 +129,6 @@ class _CaseConfig:
     v: int
     x: int
     y: int
-    a: int
-    b: int
-    u_pendants: tuple[int, ...]
     v_pendants: tuple[int, ...]
     u_heavy: tuple[int, ...]
     v_heavy: tuple[int, ...]
@@ -153,18 +152,17 @@ def _case_config(t: Tree) -> _CaseConfig:
 
     up, uh = around(u, x)
     vp, vh = around(v, y)
-    a, b = len(up), len(vp)
-    if a > 0 and b > 0:
+    if up and vp:
         if t.degrees[u] < t.degrees[v]:
-            u, v, x, y, up, vp, uh, vh, a, b = v, u, y, x, vp, up, vh, uh, b, a
+            u, v, x, y, vp, uh, vh = v, u, y, x, up, vh, uh
         tag = "1.1" if t.degrees[x] >= t.degrees[y] else "1.2"
-    elif a == 0 and b == 0:
+    elif not up and not vp:
         tag = "3"
     else:
-        if a > 0:  # the bare side plays the donor role
-            u, v, x, y, up, vp, uh, vh, a, b = v, u, y, x, vp, up, vh, uh, b, a
+        if up:  # the bare side plays the donor role
+            u, v, x, y, vp, uh, vh = v, u, y, x, up, vh, uh
         tag = "2"
-    return _CaseConfig(u, v, x, y, a, b, up, vp, uh, vh, tag)
+    return _CaseConfig(u, v, x, y, vp, uh, vh, tag)
 
 
 def lemma1_case_tag(t: Tree) -> str:

@@ -8,7 +8,6 @@ isomorphic, so the code doubles as a dedup key.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, TreeStructureError
@@ -32,6 +31,29 @@ def _level_parents(levels: Sequence[int]) -> list[int]:
         parents[i] = last_at[li - 1]
         last_at[li] = i
     return parents
+
+
+def _walk(
+    adjacency: Sequence[Sequence[int]], root: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The one traversal: a preorder DFS from root (last neighbor first, marked
+    when pushed) giving (order, parent, depth).  order holds the vertices
+    reached; parent (-1 at the root) and depth are by vertex, -1 if unreached."""
+    parent = [-1] * len(adjacency)
+    depth = [-1] * len(adjacency)
+    depth[root] = 0
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        d = depth[v] + 1
+        for u in adjacency[v]:
+            if depth[u] < 0:
+                depth[u] = d
+                parent[u] = v
+                stack.append(u)
+    return order, parent, depth
 
 
 class Tree:
@@ -78,18 +100,7 @@ class Tree:
                 f"a tree on {order} vertices needs {order - 1} edges, got {count}"
             )
         # connected + n-1 edges => acyclic
-        reached = bytearray(order)
-        reached[0] = 1
-        queue = deque([0])
-        hit = 1
-        while queue:
-            w = queue.popleft()
-            for z in adj[w]:
-                if not reached[z]:
-                    reached[z] = 1
-                    hit += 1
-                    queue.append(z)
-        if hit != order:
+        if len(_walk(adj, 0)[0]) != order:
             raise TreeStructureError("edge list is disconnected")
         return cls(order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
@@ -168,30 +179,25 @@ def tree_path(t: Tree, u: int, v: int) -> list[int]:
     """Vertex sequence of the unique u-v path (inclusive)."""
     t._check_vertex(u)
     t._check_vertex(v)
-    if u == v:
-        return [u]
-    parent = [-2] * t.order
-    parent[u] = -1
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for z in t.adjacency[w]:
-            if parent[z] == -2:
-                parent[z] = w
-                if z == v:
-                    queue.clear()
-                    break
-                queue.append(z)
-    path = [v]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    path.reverse()
+    parent = _walk(t.adjacency, v)[1]
+    path = [u]
+    while u != v:
+        u = parent[u]
+        path.append(u)
     return path
+
+
+def distances_from(t: Tree, u: int) -> list[int]:
+    """Edge count of the path from u to each vertex, indexed by vertex."""
+    t._check_vertex(u)
+    return _walk(t.adjacency, u)[2]
 
 
 def distance(t: Tree, u: int, v: int) -> int:
     """Edge count of the unique u-v path."""
-    return len(tree_path(t, u, v)) - 1
+    dist = distances_from(t, u)
+    t._check_vertex(v)
+    return dist[v]
 
 
 def strip_pendants(t: Tree) -> tuple[Tree, tuple[int, ...]]:
@@ -210,24 +216,15 @@ def strip_pendants(t: Tree) -> tuple[Tree, tuple[int, ...]]:
 
 
 def tree_centers(t: Tree) -> list[int]:
-    """The 1 or 2 middle vertices, found by peeling leaf layers."""
-    n = t.order
-    if n <= 2:
-        return list(range(n))
-    deg = list(t.degrees)
-    layer = [v for v in range(n) if deg[v] == 1]
-    alive = n
-    while alive > 2:
-        alive -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in t.adjacency[v]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-            deg[v] = 0
-        layer = nxt
-    return sorted(layer)
+    """The 1 or 2 middle vertices of a longest path.  Double sweep: a vertex
+    farthest from 0 ends a longest path; the vertex farthest from it, the other."""
+    depth = _walk(t.adjacency, 0)[2]
+    _, parent, depth = _walk(t.adjacency, depth.index(max(depth)))
+    d = max(depth)
+    mid = depth.index(d)
+    for _ in range(d // 2):
+        mid = parent[mid]
+    return [mid] if d % 2 == 0 else sorted((mid, parent[mid]))
 
 
 def preorder_levels(t: Tree, root: int = 0) -> list[int]:
@@ -237,28 +234,17 @@ def preorder_levels(t: Tree, root: int = 0) -> list[int]:
     the canonical one.
     """
     t._check_vertex(root)
-    depth = [-1] * t.order
-    depth[root] = 0
-    levels = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        d = depth[v]
-        levels.append(d)
-        for u in t.adjacency[v]:
-            if depth[u] < 0:
-                depth[u] = d + 1
-                stack.append(u)
-    return levels
+    order, _, depth = _walk(t.adjacency, root)
+    return [depth[v] for v in order]
 
 
 def _rooted_code(t: Tree, root: int) -> str:
     """AHU encoding of t rooted at root: children codes sorted and bracketed."""
-    parents = _level_parents(preorder_levels(t, root))
-    child_codes: list[list[str]] = [[] for _ in parents]
-    for v in range(len(parents) - 1, 0, -1):
-        child_codes[parents[v]].append("(" + "".join(sorted(child_codes[v])) + ")")
-    return "(" + "".join(sorted(child_codes[0])) + ")"
+    order, parent, _ = _walk(t.adjacency, root)
+    child_codes: list[list[str]] = [[] for _ in order]
+    for v in order[:0:-1]:  # children before parents, root left out
+        child_codes[parent[v]].append("(" + "".join(sorted(child_codes[v])) + ")")
+    return "(" + "".join(sorted(child_codes[root])) + ")"
 
 
 def canonical_code(t: Tree) -> CanonicalCode:

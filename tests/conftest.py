@@ -6,13 +6,14 @@ import heapq
 import importlib.util
 import itertools
 import math
+import random
 import sys
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from sombor_trees.enumeration import enumerate_free_trees
+from sombor_trees.enumeration import enumerate_free_trees, random_tree
 from sombor_trees.tree import Tree
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +61,23 @@ def compiled(tmp_path_factory):
 def trees_of_order(n):
     """Materialized enumeration stream, cached across tests."""
     return tuple(enumerate_free_trees(n))
+
+
+@lru_cache(maxsize=None)
+def query_sweep():
+    """Every tree with n <= 10 plus one random relabeling of each, then 30
+    random labeled trees per order 11..40: the sweep for the path, distance
+    and center queries."""
+    rng = random.Random(20261018)
+    trees = []
+    for n in range(1, 11):
+        for t in trees_of_order(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            trees += (t, t.relabel(perm))
+    for n in range(11, 41):
+        trees.extend(random_tree(n, rng) for _ in range(30))
+    return tuple(trees)
 
 
 def decode_prufer_adjacency(seq, n):

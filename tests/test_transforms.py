@@ -1,6 +1,8 @@
 """Rewiring moves: hand-built fixtures for every case shape, plus the
 exhaustive alpha-preservation / index-increase sweep at small orders."""
 
+from itertools import combinations
+
 import pytest
 
 from sombor_trees.errors import PreconditionError, TreeStructureError
@@ -19,9 +21,9 @@ from sombor_trees.transforms import (
     shift_neighbors,
     swap_endpoints,
 )
-from sombor_trees.tree import Tree, canonical_code
+from sombor_trees.tree import Tree, canonical_code, distance, strip_pendants
 
-from conftest import trees_of_order
+from conftest import query_sweep, trees_of_order
 
 
 def double_star():
@@ -147,6 +149,26 @@ class TestSelectSupportPair:
     def test_deterministic_tie_break(self):
         t = caterpillar_case_11()
         assert select_support_pair(t) == (1, 3)
+
+    def test_matches_the_pairwise_reference(self):
+        # reference: one distance query per pair of support vertices
+        for t in query_sweep():
+            if t.order < 3:
+                continue
+            core, old_of = strip_pendants(t)
+            supports = sorted(
+                {core.adjacency[p][0] for p in range(core.order)
+                 if core.degrees[p] == 1}
+            )
+            if len(supports) < 2:
+                with pytest.raises(PreconditionError):
+                    select_support_pair(t)
+                continue
+            _, u, v = min(
+                (-distance(core, a, b), old_of[a], old_of[b])
+                for a, b in combinations(supports, 2)
+            )
+            assert select_support_pair(t) == (u, v), t
 
 
 class TestCaseMoves:

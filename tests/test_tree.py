@@ -13,6 +13,7 @@ from sombor_trees.tree import (
     Tree,
     canonical_code,
     distance,
+    distances_from,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
@@ -23,7 +24,7 @@ from sombor_trees.tree import (
     tree_path,
 )
 
-from conftest import trees_of_order
+from conftest import query_sweep, trees_of_order
 
 
 class TestConstruction:
@@ -141,6 +142,59 @@ class TestDistance:
     def test_path_endpoints_recovered(self):
         t = Tree.path(6)
         assert tree_path(t, 1, 4) == [1, 2, 3, 4]
+
+
+def _bfs_distances(adj, source):
+    """Edge count from source to each vertex, by a BFS over the adjacency."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for z in adj[w]:
+                if dist[z] < 0:
+                    dist[z] = dist[w] + 1
+                    nxt.append(z)
+        frontier = nxt
+    return dist
+
+
+class TestWalkQueries:
+    """The path, distance and center queries over query_sweep's trees."""
+
+    def test_distances_from_matches_bfs(self):
+        for t in query_sweep():
+            for u in range(t.order):
+                assert distances_from(t, u) == _bfs_distances(t.adjacency, u)
+
+    def test_centers_are_the_minimum_eccentricity_vertices(self):
+        for t in query_sweep():
+            ecc = [max(_bfs_distances(t.adjacency, u)) for u in range(t.order)]
+            expected = [v for v in range(t.order) if ecc[v] == min(ecc)]
+            assert tree_centers(t) == expected, t
+
+    def test_paths_are_simple_and_agree_with_distances(self):
+        rng = random.Random(11)
+        for t in query_sweep():
+            n = t.order
+            if n <= 10:
+                pairs = itertools.product(range(n), repeat=2)
+            else:
+                pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(10)]
+            for u, v in pairs:
+                path = tree_path(t, u, v)
+                assert (path[0], path[-1]) == (u, v)
+                assert len(set(path)) == len(path)
+                assert all(b in t.adjacency[a] for a, b in zip(path, path[1:]))
+                assert distance(t, u, v) == len(path) - 1 == distances_from(t, u)[v]
+
+    def test_vertex_out_of_range(self):
+        t = Tree.path(4)
+        for query in (lambda: distance(t, 0, -1), lambda: distances_from(t, 4),
+                      lambda: tree_path(t, 4, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                query()
 
 
 class TestStripPendants:

@@ -227,13 +227,14 @@ class TestCliEnumerate:
             out = capsys.readouterr().out.encode("utf-8")
             assert hashlib.sha256(out).hexdigest() == reference[f"{n},{alpha}"], (n, alpha)
 
-    def test_reader_closing_the_pipe_is_no_error(self):
+    def test_reader_closing_the_pipe_is_no_error(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
         )
+        cmd = [sys.executable, "-m", "sombor_trees"]
         proc = subprocess.Popen(
-            [sys.executable, "-m", "sombor_trees", "enumerate", "--n", "14"],
+            cmd + ["enumerate", "--n", "14"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
@@ -243,6 +244,27 @@ class TestCliEnumerate:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
+
+        # The reader is gone before the first write; verify still writes its
+        # CSV and exits by its verdict.
+        csv_path = tmp_path / "report.csv"
+        edges_path = tmp_path / "tree.txt"
+        edges_path.write_text(format_edge_list(construct_t_star(9, 6)))
+        for argv in (
+            ["verify", "--n-max", "12", "--csv", str(csv_path)],
+            ["compute", "--input", str(edges_path)],
+        ):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                done = subprocess.run(
+                    cmd + argv, stdout=write_end, stderr=subprocess.PIPE,
+                    env=env, timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (0, b""), argv
+        assert csv_path.read_text(encoding="utf-8") == to_csv(verify(2, 12))
 
 
 class TestCliVerifyAndTable:
