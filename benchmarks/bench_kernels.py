@@ -17,6 +17,7 @@ The repository's end-to-end benchmark is ``perfbench/run.py``.
 import argparse
 import hashlib
 import time
+from contextlib import contextmanager
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import order_fold, pure
@@ -48,31 +49,38 @@ def stream_digest(mod, n):
     return h.hexdigest()
 
 
-def time_fold(mod, n, repeat):
-    best = float("inf")
-    fold = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fold = order_fold(n, kern=mod)
-        best = min(best, time.perf_counter() - start)
-    return best, fold
-
-
-def time_family(mod, n, alpha, repeat):
-    """Render the (n, alpha) family with mod's kernels bound in _kernels,
-    where enumerate_family looks them up."""
+@contextmanager
+def bound(mod):
+    """Bind mod's kernels in _kernels, where order_fold and enumerate_family
+    look them up, for the duration of the block."""
     saved = _kernels.iter_level_sequences, _kernels.tree_stats_from_levels
     _kernels.iter_level_sequences = mod.iter_level_sequences
     _kernels.tree_stats_from_levels = mod.tree_stats_from_levels
     try:
-        best = float("inf")
-        text = ""
+        yield
+    finally:
+        _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
+
+
+def time_fold(mod, n, repeat):
+    best = float("inf")
+    fold = None
+    with bound(mod):
+        for _ in range(repeat):
+            start = time.perf_counter()
+            fold = order_fold(n)
+            best = min(best, time.perf_counter() - start)
+    return best, fold
+
+
+def time_family(mod, n, alpha, repeat):
+    best = float("inf")
+    text = ""
+    with bound(mod):
         for _ in range(repeat):
             start = time.perf_counter()
             text = "".join(map(format_levels_edge_list, enumerate_family(n, alpha)))
             best = min(best, time.perf_counter() - start)
-    finally:
-        _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
     return best, text
 
 

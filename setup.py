@@ -2,14 +2,16 @@
 
 The package works without the extension (a pure-Python backend is selected at
 import time), so a failed compile downgrades to a warning instead of aborting
-the install.  Without Cython the committed, pre-generated ``_speedups.c`` is
-compiled instead, so an offline build still gets the compiled backend:
+the install.  Every build compiles the committed ``_speedups.c``, so it needs
+no Cython and works offline:
 
     python setup.py build_ext --inplace
     pip install -e . --no-build-isolation
+
+The C is generated from ``_speedups.pyx``; after editing the ``.pyx``,
+regenerate it by hand with ``cython src/sombor_trees/_kernels/_speedups.pyx``.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -22,7 +24,7 @@ class OptionalBuildExt(build_ext):
     def run(self):
         try:
             super().run()
-        except Exception as exc:  # compiler or Cython missing
+        except Exception as exc:  # no compiler, or no Python headers
             self._warn(exc)
 
     def build_extension(self, ext):
@@ -40,21 +42,12 @@ class OptionalBuildExt(build_ext):
         )
 
 
-KERNELS = "src/sombor_trees/_kernels/"
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        c_source = KERNELS + "_speedups.c"
-        if not os.path.exists(c_source):
-            return []
-        return [Extension("sombor_trees._kernels._speedups", [c_source])]
-    return cythonize(
-        [Extension("sombor_trees._kernels._speedups", [KERNELS + "_speedups.pyx"])],
-        language_level="3",
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "sombor_trees._kernels._speedups",
+            ["src/sombor_trees/_kernels/_speedups.c"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

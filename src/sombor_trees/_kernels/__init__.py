@@ -2,10 +2,11 @@
 
 Prefers the compiled extension and falls back to the pure-Python module when
 it is absent.  Set SOMBOR_TREES_BACKEND=pure to force the fallback, or
-=compiled to fail loudly when the extension is missing.  Both backends expose
-the same callables and produce bit-identical output, so ``order_fold``, which
-is built only on ``iter_level_sequences`` and ``tree_stats_from_levels``, is
-written once here for both.
+=compiled to fail loudly when the extension is missing; any other non-empty
+value is an ImportError.  Both backends expose the same callables and produce
+bit-identical output, so ``order_fold``, which is built only on
+``iter_level_sequences`` and ``tree_stats_from_levels``, is written once here
+for both.
 """
 
 import os
@@ -16,6 +17,10 @@ if _requested == "pure":
     from . import pure as _impl
 elif _requested == "compiled":
     from . import _speedups as _impl  # ImportError here is intentional
+elif _requested:
+    raise ImportError(
+        f"SOMBOR_TREES_BACKEND must be 'pure' or 'compiled', got {_requested!r}"
+    )
 else:
     try:
         from . import _speedups as _impl  # type: ignore[no-redef]
@@ -35,7 +40,7 @@ __all__ = [
 ]
 
 
-def order_fold(n, kern=None):
+def order_fold(n):
     """Fold the whole order-n stream into every alpha cell in one walk.
 
     Returns {alpha: (family_size, best_so, runner_up_so, maximizer_count,
@@ -43,13 +48,10 @@ def order_fold(n, kern=None):
     best_so is the largest Sombor value, maximizer_count the number of level
     sequences attaining it exactly, maximizer_levels the first of them in
     stream order, and runner_up_so the largest value strictly below best_so
-    (-inf if none).  kern selects a backend module explicitly; by default the
-    selected backend's callables, as bound in this module, are used.
+    (-inf if none).  The stream and the stats are the callables bound in this
+    module when the call starts.
     """
-    if kern is None:
-        gen, stats = iter_level_sequences, tree_stats_from_levels
-    else:
-        gen, stats = kern.iter_level_sequences, kern.tree_stats_from_levels
+    gen, stats = iter_level_sequences, tree_stats_from_levels
     count = [0] * (n + 1)
     best = [float("-inf")] * (n + 1)
     runner = [float("-inf")] * (n + 1)

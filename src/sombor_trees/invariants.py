@@ -13,7 +13,7 @@ import math
 
 from . import _kernels
 from .errors import SizeLimitError
-from .tree import Tree, preorder_levels
+from .tree import Tree, distances_from, preorder_levels
 
 INDEPENDENCE_ORACLE_MAX = 24
 
@@ -65,37 +65,19 @@ def independence_number_oracle(t: Tree) -> int:
 
 
 def pendant_inclusive_mis(t: Tree) -> frozenset[int]:
-    """Maximum independent set built by leaf peeling, so it keeps every pendant.
+    """A maximum independent set that contains every pendant vertex, or {0}
+    on the single edge, whose two pendants are adjacent.
 
-    Rounds: snapshot the degree<=1 vertices of the surviving forest, take them
-    in ascending id order (skipping ones a previous pick already deleted), and
-    remove each pick together with its remaining neighbor.  Isolated survivors
-    count as pendants of their one-vertex component.  The only tree whose
-    pendants cannot all be kept is the single edge, where the two pendants are
-    adjacent and the procedure keeps vertex 0.
+    One pass, deepest vertices first, from a root of degree >= 2 (vertex 1 on
+    the single edge): a vertex joins when none of its deeper neighbors has.
+    Every leaf joins, and on a tree this greedy choice is optimal.
     """
     if t.order < 2:
         raise ValueError("defined for trees with at least 2 vertices")
-    n = t.order
-    alive = bytearray([1]) * n
-    deg = list(t.degrees)
+    root = next((v for v in range(t.order) if t.degrees[v] >= 2), 1)
+    depth = distances_from(t, root)
     members: set[int] = set()
-    remaining = n
-    while remaining:
-        snapshot = [v for v in range(n) if alive[v] and deg[v] <= 1]
-        for v in snapshot:
-            if not alive[v]:
-                continue
+    for v in sorted(range(t.order), key=depth.__getitem__, reverse=True):
+        if members.isdisjoint(t.adjacency[v]):  # its parent comes later
             members.add(v)
-            support = [u for u in t.adjacency[v] if alive[u]]
-            alive[v] = 0
-            remaining -= 1
-            for u in support:
-                deg[u] -= 1
-            for u in support:
-                alive[u] = 0
-                remaining -= 1
-                for w in t.adjacency[u]:
-                    if alive[w]:
-                        deg[w] -= 1
     return frozenset(members)

@@ -46,9 +46,8 @@ def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
         raise TreeStructureError("receiver cannot be one of the moved vertices")
     if len(set(moved)) != len(moved):
         raise TreeStructureError("moved vertices must be distinct")
-    donor_nbrs = set(t.adjacency[donor])
     for w in moved:
-        if w not in donor_nbrs:
+        if w not in t.adjacency[donor]:
             raise TreeStructureError(f"vertex {w} is not adjacent to donor {donor}")
     if moved:
         toward = tree_path(t, donor, receiver)[1]
@@ -56,15 +55,9 @@ def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
             raise TreeStructureError(
                 f"moving {toward} would detach the donor from the receiver"
             )
-    moved_set = set(moved)
-    edges = []
-    for u, v in t.edges():
-        if u == donor and v in moved_set:
-            edges.append((receiver, v))
-        elif v == donor and u in moved_set:
-            edges.append((receiver, u))
-        else:
-            edges.append((u, v))
+    dropped = {frozenset((donor, w)) for w in moved}
+    edges = [e for e in t.edges() if frozenset(e) not in dropped]
+    edges += ((receiver, w) for w in moved)
     return Tree.from_edges(t.order, edges)
 
 
@@ -115,27 +108,10 @@ def select_support_pair(t: Tree) -> tuple[int, int]:
     return u, v
 
 
-@dataclass(frozen=True)
-class _CaseConfig:
-    """The decomposition around a maximum-distance support pair.
-
-    u/v are the pair (roles already normalized for the detected case), x/y
-    their path neighbors toward each other (x == y at distance 2, x == v and
-    y == u when the pair is adjacent), v_pendants v's pendant neighbors, and
-    the heavy tuples their remaining degree->=2 neighbors off the path.
-    """
-
-    u: int
-    v: int
-    x: int
-    y: int
-    v_pendants: tuple[int, ...]
-    u_heavy: tuple[int, ...]
-    v_heavy: tuple[int, ...]
-    tag: str
-
-
-def _case_config(t: Tree) -> _CaseConfig:
+def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
+    """The case move around the maximum-distance support pair (u, v), whose
+    path neighbors toward each other are x and y: (tag, swap, shift), where
+    swap is the swap_endpoints(u, x, v, y) to make first, or None."""
     label = classify(t)
     if label is not TreeClass.OTHER:
         raise PreconditionError(
@@ -145,29 +121,31 @@ def _case_config(t: Tree) -> _CaseConfig:
     path = tree_path(t, u, v)
     x, y = path[1], path[-2]
 
-    def around(w: int, toward: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        pend = tuple(z for z in t.adjacency[w] if t.degrees[z] == 1)
-        heavy = tuple(z for z in t.adjacency[w] if t.degrees[z] >= 2 and z != toward)
-        return pend, heavy
+    def pendants(w: int) -> tuple[int, ...]:
+        return tuple(z for z in t.adjacency[w] if t.degrees[z] == 1)
 
-    up, uh = around(u, x)
-    vp, vh = around(v, y)
+    def heavy(w: int, toward: int) -> tuple[int, ...]:
+        return tuple(z for z in t.adjacency[w] if t.degrees[z] >= 2 and z != toward)
+
+    up, vp = pendants(u), pendants(v)
     if up and vp:
         if t.degrees[u] < t.degrees[v]:
-            u, v, x, y, vp, uh, vh = v, u, y, x, up, vh, uh
-        tag = "1.1" if t.degrees[x] >= t.degrees[y] else "1.2"
-    elif not up and not vp:
-        tag = "3"
-    else:
-        if up:  # the bare side plays the donor role
-            u, v, x, y, vp, uh, vh = v, u, y, x, up, vh, uh
-        tag = "2"
-    return _CaseConfig(u, v, x, y, vp, uh, vh, tag)
+            u, v, x, y, vp = v, u, y, x, up
+        # v keeps y and one pendant; the rest of its neighbors move to u
+        shift = ShiftSpec(v, u, heavy(v, y) + vp[1:])
+        if t.degrees[x] >= t.degrees[y]:
+            return "1.1", None, shift
+        # the swap is the identity when the pair is adjacent
+        return "1.2", ((u, x, v, y) if len({u, x, v, y}) == 4 else None), shift
+    tag = "2" if up or vp else "3"
+    if up:  # the pendant-free side donates its heavy neighbors
+        u, v, x, y = v, u, y, x
+    return tag, None, ShiftSpec(u, v, heavy(u, x))
 
 
 def lemma1_case_tag(t: Tree) -> str:
     """Which case move applies to this tree (classify(t) must be Other)."""
-    return _case_config(t).tag
+    return _case_move(t)[0]
 
 
 def apply_lemma1_case(t: Tree) -> Tree:
@@ -179,18 +157,10 @@ def apply_lemma1_case(t: Tree) -> Tree:
     identity), then does the same re-homing; 2 and 3 re-home the heavy
     neighbors of the pendant-free donor.
     """
-    cfg = _case_config(t)
-    if cfg.tag == "1.1":
-        moved = cfg.v_heavy + cfg.v_pendants[1:]
-        return shift_neighbors(t, ShiftSpec(cfg.v, cfg.u, moved))
-    if cfg.tag == "1.2":
-        work = t
-        if len({cfg.u, cfg.x, cfg.v, cfg.y}) == 4:
-            work = swap_endpoints(t, cfg.u, cfg.x, cfg.v, cfg.y)
-        moved = cfg.v_heavy + cfg.v_pendants[1:]
-        return shift_neighbors(work, ShiftSpec(cfg.v, cfg.u, moved))
-    # cases 2 and 3: the pendant-free u donates its heavy neighbors to v
-    return shift_neighbors(t, ShiftSpec(cfg.u, cfg.v, cfg.u_heavy))
+    _, swap, shift = _case_move(t)
+    if swap is not None:
+        t = swap_endpoints(t, *swap)
+    return shift_neighbors(t, shift)
 
 
 def apply_lemma2_step(t: Tree) -> Tree:

@@ -1,4 +1,5 @@
-"""Shared helpers: the compiled-backend fixture, cached enumeration sweeps,
+"""Shared helpers: the compiled-backend fixture and backend binding, cached
+enumeration sweeps,
 the labeled-tree reference oracle (Prüfer decoding + isomorphism-class
 interning), and tree automorphism counts for the exact Cayley cross-check."""
 
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from sombor_trees import _kernels
 from sombor_trees.enumeration import enumerate_free_trees, random_tree
 from sombor_trees.tree import Tree
 
@@ -55,6 +57,13 @@ def compiled(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def bind_backend(monkeypatch, mod):
+    """Bind mod's generator and stats in ``_kernels``, where ``order_fold`` and
+    ``enumerate_family`` look them up; monkeypatch restores them."""
+    monkeypatch.setattr(_kernels, "iter_level_sequences", mod.iter_level_sequences)
+    monkeypatch.setattr(_kernels, "tree_stats_from_levels", mod.tree_stats_from_levels)
 
 
 @lru_cache(maxsize=None)

@@ -117,6 +117,7 @@ class TestPendantInclusiveMis:
         # both vertices are pendants and adjacent; the set keeps exactly one
         mis = pendant_inclusive_mis(Tree.path(2))
         assert len(mis) == 1 == independence_number(Tree.path(2))
+        assert mis == {0}
 
     def test_property_sweep_to_12(self):
         for n in range(3, 13):
@@ -125,3 +126,16 @@ class TestPendantInclusiveMis:
                 assert pendant_vertices(t) <= mis
                 assert not any(u in mis for v in mis for u in t.adjacency[v])
                 assert len(mis) == independence_number(t)
+
+    def test_relabeled_sweep_to_12(self):
+        # the pass roots at the first vertex of degree >= 2, so labels matter
+        rng = random.Random(12)
+        for n in range(3, 13):
+            for t in trees_of_order(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                r = t.relabel(perm)
+                mis = pendant_inclusive_mis(r)
+                assert pendant_vertices(r) <= mis
+                assert not any(u in mis for v in mis for u in r.adjacency[v])
+                assert len(mis) == independence_number_oracle(r)

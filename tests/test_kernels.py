@@ -4,6 +4,9 @@ one-pass order fold must equal a separate fold per alpha.  The ``compiled``
 fixture lives in conftest.py."""
 
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +16,7 @@ from sombor_trees._kernels import order_fold, pure
 from sombor_trees.invariants import independence_number_oracle, sombor_index
 from sombor_trees.tree import Tree
 
-from conftest import perfbench_build
+from conftest import ROOT, bind_backend, perfbench_build
 
 
 class TestPureKernels:
@@ -25,9 +28,10 @@ class TestPureKernels:
                 assert so == pytest.approx(sombor_index(t), abs=1e-12)
                 assert alpha == independence_number_oracle(t)
 
-    def test_order_fold_sizes_partition_the_stream(self):
+    def test_order_fold_sizes_partition_the_stream(self, monkeypatch):
         # family sizes across alpha partition the order-9 stream
-        fold = order_fold(9, kern=pure)
+        bind_backend(monkeypatch, pure)
+        fold = order_fold(9)
         assert sorted(fold) == [5, 6, 7, 8]
         total = 0
         for count, best, runner, ties, first in fold.values():
@@ -35,14 +39,15 @@ class TestPureKernels:
             total += count
         assert total == 47
 
-    def test_order_fold_trivial_orders(self):
-        assert order_fold(1, kern=pure) == {1: (1, 0.0, -math.inf, 1, (0,))}
-        ((alpha, (count, best, runner, ties, first)),) = order_fold(2, kern=pure).items()
+    def test_order_fold_trivial_orders(self, monkeypatch):
+        bind_backend(monkeypatch, pure)
+        assert order_fold(1) == {1: (1, 0.0, -math.inf, 1, (0,))}
+        ((alpha, (count, best, runner, ties, first)),) = order_fold(2).items()
         assert alpha == 1
         assert count == 1 and best == pytest.approx(math.sqrt(2))
         assert (runner, ties, first) == (-math.inf, 1, (0, 1))
 
-    def test_order_fold_counts_exact_ties_only(self):
+    def test_order_fold_counts_exact_ties_only(self, monkeypatch):
         # a scripted stream, levels -> (so, alpha), in stream order
         stream = {
             (0, 1): (2.0, 1),
@@ -51,18 +56,20 @@ class TestPureKernels:
             (0, 4): (3.0, 1),
             (0, 5): (1.0, 2),
         }
-        kern = SimpleNamespace(
+        scripted = SimpleNamespace(
             iter_level_sequences=lambda n: iter(stream),
             tree_stats_from_levels=stream.__getitem__,
         )
-        assert order_fold(2, kern=kern) == {
+        bind_backend(monkeypatch, scripted)
+        assert order_fold(2) == {
             1: (4, 3.0, 3.0 - 1e-12, 2, (0, 2)),
             2: (1, 1.0, -math.inf, 1, (0, 5)),
         }
 
-    def test_order_fold_equals_one_fold_per_alpha(self):
+    def test_order_fold_equals_one_fold_per_alpha(self, monkeypatch):
+        bind_backend(monkeypatch, pure)
         for n in range(1, 12):
-            fold = order_fold(n, kern=pure)
+            fold = order_fold(n)
             for alpha in range(1, n + 1):
                 assert fold.get(alpha) == _fold_one_alpha(n, alpha)
 
@@ -82,11 +89,12 @@ class TestPureKernels:
             accepted = sum(1 for _ in pure.iter_level_sequences(n))
             assert visited / accepted <= 1.5, (n, visited, accepted)
 
-    def test_rejects_bad_order(self):
+    def test_rejects_bad_order(self, monkeypatch):
         with pytest.raises(ValueError):
             list(pure.iter_level_sequences(0))
+        bind_backend(monkeypatch, pure)
         with pytest.raises(ValueError):
-            order_fold(0, kern=pure)
+            order_fold(0)
 
 
 def _fold_one_alpha(n, alpha):
@@ -125,9 +133,12 @@ class TestCompiledParity:
                     pure.tree_stats_from_levels(levels)
                 )
 
-    def test_order_fold_bit_identical(self, compiled):
+    def test_order_fold_bit_identical(self, compiled, monkeypatch):
         for n in range(1, 13):
-            assert order_fold(n, kern=compiled) == order_fold(n, kern=pure)
+            bind_backend(monkeypatch, compiled)
+            fold = order_fold(n)
+            bind_backend(monkeypatch, pure)
+            assert fold == order_fold(n)
 
     def test_rooted_streams_identical(self, compiled):
         for n in range(1, 10):
@@ -143,6 +154,21 @@ class TestBackendSelection:
         assert callable(_kernels.tree_stats_from_levels)
         assert callable(_kernels.order_fold)
         assert "family_sweep" not in _kernels.__all__
+
+    def test_unknown_backend_is_an_import_error(self):
+        env = dict(os.environ, SOMBOR_TREES_BACKEND="bogus")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import sombor_trees"],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode != 0
+        assert b"ImportError" in done.stderr
+        assert b"'pure'" in done.stderr and b"'compiled'" in done.stderr
 
 
 class TestGeneratedSource:

@@ -42,6 +42,15 @@ def caterpillar_case_11():
     )
 
 
+def caterpillar_case_11_two_pendants():
+    # as above with a second pendant on each of 1 and 3 (8 on 1, 9 and 10 on
+    # 3): v = 3 keeps y = 2 and its first pendant 9, and 4 and 10 move to 1
+    return Tree.from_edges(
+        11,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (4, 6), (1, 7), (1, 8), (3, 9), (3, 10)],
+    )
+
+
 def adjacent_case_12():
     # spine 0-1-2-3 with pendants 4 on 0, 5 on 3, 6,7,8 on 1, 9 on 2:
     # the pair (1, 2) is adjacent, d(y)=5 > d(x)=3, the endpoint swap degenerates
@@ -67,6 +76,12 @@ def double_spider_case_3():
         11,
         [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6), (6, 7), (7, 8), (6, 9), (9, 10)],
     )
+
+
+def spider_321_case_2():
+    # legs 0-1-2-3, 0-4-5 and 0-6 from the hub 0: the adjacent pair (0, 1)
+    # has a pendant on 0 only, so 1 donates its heavy neighbor 2 to 0
+    return Tree.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
 
 
 def t1_8_5_one_loaded_leaf():
@@ -200,6 +215,46 @@ class TestCaseMoves:
         out = apply_lemma1_case(t)
         assert independence_number(out) == independence_number(t)
         assert sombor_index(out) - sombor_index(t) > 1e-6
+
+    @pytest.mark.parametrize(
+        "make, tag, edges",
+        [
+            (
+                caterpillar_case_11,
+                "1.1",
+                [(0, 1), (0, 5), (1, 2), (1, 4), (1, 7), (2, 3), (3, 8), (4, 6)],
+            ),
+            (
+                caterpillar_case_11_two_pendants,
+                "1.1",
+                [(0, 1), (0, 5), (1, 2), (1, 4), (1, 7), (1, 8), (1, 10), (2, 3),
+                 (3, 9), (4, 6)],
+            ),
+            (
+                adjacent_case_12,
+                "1.2",
+                [(0, 1), (0, 4), (1, 2), (1, 3), (1, 6), (1, 7), (1, 8), (2, 9), (3, 5)],
+            ),
+            (
+                separated_case_12,
+                "1.2",
+                [(0, 1), (0, 6), (1, 3), (1, 5), (1, 8), (2, 3), (2, 4), (3, 10),
+                 (4, 9), (5, 7)],
+            ),
+            (spider_321_case_2, "2", [(0, 1), (0, 2), (0, 4), (0, 6), (2, 3), (4, 5)]),
+            (
+                double_spider_case_3,
+                "3",
+                [(0, 5), (1, 2), (1, 6), (3, 4), (3, 6), (5, 6), (6, 7), (6, 9),
+                 (7, 8), (9, 10)],
+            ),
+        ],
+        ids=["1.1", "1.1-two-pendants", "1.2-adjacent", "1.2-separated", "2", "3"],
+    )
+    def test_move_gives_the_pinned_tree(self, make, tag, edges):
+        t = make()
+        assert lemma1_case_tag(t) == tag
+        assert list(apply_lemma1_case(t).edges()) == edges
 
     def test_t1_input_is_rejected(self):
         with pytest.raises(PreconditionError, match="T1"):

@@ -12,7 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from sombor_trees import _kernels, cli
+from sombor_trees import cli
 from sombor_trees._kernels import pure
 from sombor_trees.cli import main
 from sombor_trees.errors import SizeLimitError
@@ -26,7 +26,7 @@ from sombor_trees.verify import (
     verify,
 )
 
-from conftest import ROOT
+from conftest import ROOT, bind_backend
 
 
 def _record(order, alpha):
@@ -219,8 +219,7 @@ class TestCliEnumerate:
             (ROOT / "perfbench" / "reference" / "enumerate.json").read_text(encoding="utf-8")
         )
         kern = pure if backend == "pure" else request.getfixturevalue("compiled")
-        monkeypatch.setattr(_kernels, "iter_level_sequences", kern.iter_level_sequences)
-        monkeypatch.setattr(_kernels, "tree_stats_from_levels", kern.tree_stats_from_levels)
+        bind_backend(monkeypatch, kern)
         cells = [(8, 5)] if backend == "pure" else [(8, 5), (17, 11)]
         for n, alpha in cells:
             assert main(["enumerate", "--n", str(n), "--alpha", str(alpha)]) == 0
