@@ -3,9 +3,12 @@
 
 Times the two hot paths (draining the free-tree stream, and the one-pass
 order fold that the verifier runs once per order) for a range of orders and
-prints the speedups.  Outside the timed region it checks that both backends
-drain the same stream, by a sha256 over each order's sequences.  Then it
-times the ``enumerate`` command's work without its writes:
+prints the speedups.  The pure fold is the pure backend's fused
+``order_fold``; the compiled one is ``_kernels._stream_fold`` over the
+compiled kernels, which is how the compiled backend folds until it exports
+its own.  Outside the timed region it checks that both backends drain the
+same stream, by a sha256 over each order's sequences, and that the two folds
+agree.  Then it times the ``enumerate`` command's work without its writes:
 ``enumerate_family(17, 11)``, each record rendered by
 ``format_levels_edge_list``.  Run from an installed checkout:
 
@@ -20,7 +23,7 @@ import time
 from contextlib import contextmanager
 
 from sombor_trees import _kernels
-from sombor_trees._kernels import order_fold, pure
+from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.tree import format_levels_edge_list
 
@@ -51,7 +54,7 @@ def stream_digest(mod, n):
 
 @contextmanager
 def bound(mod):
-    """Bind mod's kernels in _kernels, where order_fold and enumerate_family
+    """Bind mod's kernels in _kernels, where _stream_fold and enumerate_family
     look them up, for the duration of the block."""
     saved = _kernels.iter_level_sequences, _kernels.tree_stats_from_levels
     _kernels.iter_level_sequences = mod.iter_level_sequences
@@ -62,14 +65,13 @@ def bound(mod):
         _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
 
 
-def time_fold(mod, n, repeat):
+def time_fold(fold_order, n, repeat):
     best = float("inf")
     fold = None
-    with bound(mod):
-        for _ in range(repeat):
-            start = time.perf_counter()
-            fold = order_fold(n)
-            best = min(best, time.perf_counter() - start)
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fold = fold_order(n)
+        best = min(best, time.perf_counter() - start)
     return best, fold
 
 
@@ -99,11 +101,12 @@ def main():
     print(header)
     for n in args.orders:
         ep, count = time_enumerate(pure, n, args.repeat)
-        fp, pfold = time_fold(pure, n, args.repeat)
+        fp, pfold = time_fold(pure.order_fold, n, args.repeat)
         row = f"{n:>3} {count:>8} {ep:>10.4f}s {fp:>10.4f}s"
         if compiled is not None:
             ec, ccount = time_enumerate(compiled, n, args.repeat)
-            fc, cfold = time_fold(compiled, n, args.repeat)
+            with bound(compiled):
+                fc, cfold = time_fold(_stream_fold, n, args.repeat)
             assert ccount == count, "backends disagree on the tree count"
             assert stream_digest(compiled, n) == stream_digest(pure, n), (
                 "backends disagree on the stream"

@@ -1,12 +1,16 @@
-"""Kernel backend selection, plus the one-pass fold both backends share.
+"""Kernel backend selection, plus the one-pass order fold.
 
 Prefers the compiled extension and falls back to the pure-Python module when
 it is absent.  Set SOMBOR_TREES_BACKEND=pure to force the fallback, or
 =compiled to fail loudly when the extension is missing; any other non-empty
 value is an ImportError.  Both backends expose the same callables and produce
-bit-identical output, so ``order_fold``, which is built only on
-``iter_level_sequences`` and ``tree_stats_from_levels``, is written once here
-for both.
+bit-identical output.
+
+``order_fold`` is the backend's own fold when it has one: the pure module
+fuses its generator, stats and fold in one walk.  Otherwise it is
+``_stream_fold``, written here on ``iter_level_sequences`` and
+``tree_stats_from_levels`` alone; the compiled backend folds through it until
+ROADMAP D6 exports an all-C ``order_fold``.
 """
 
 import os
@@ -16,7 +20,14 @@ _requested = os.environ.get("SOMBOR_TREES_BACKEND", "").strip().lower()
 if _requested == "pure":
     from . import pure as _impl
 elif _requested == "compiled":
-    from . import _speedups as _impl  # ImportError here is intentional
+    try:
+        from . import _speedups as _impl
+    except ImportError as exc:
+        raise ImportError(
+            "SOMBOR_TREES_BACKEND=compiled, but the compiled extension is not "
+            "built or does not load; build it with "
+            "`python setup.py build_ext --inplace`"
+        ) from exc
 elif _requested:
     raise ImportError(
         f"SOMBOR_TREES_BACKEND must be 'pure' or 'compiled', got {_requested!r}"
@@ -31,8 +42,8 @@ BACKEND = _impl.BACKEND
 iter_level_sequences = _impl.iter_level_sequences
 tree_stats_from_levels = _impl.tree_stats_from_levels
 
-# The backend's own callables.  order_fold is built on them and reads them
-# from this module at call time, so a wrapper set here sees every walk.
+# The backend's own callables.  _stream_fold is built on them and reads them
+# from this module at call time, so a wrapper set here sees every walk it makes.
 __all__ = [
     "BACKEND",
     "iter_level_sequences",
@@ -40,7 +51,7 @@ __all__ = [
 ]
 
 
-def order_fold(n):
+def _stream_fold(n):
     """Fold the whole order-n stream into every alpha cell in one walk.
 
     Returns {alpha: (family_size, best_so, runner_up_so, maximizer_count,
@@ -75,3 +86,6 @@ def order_fold(n):
         for a in range(n + 1)
         if count[a]
     }
+
+
+order_fold = getattr(_impl, "order_fold", _stream_fold)

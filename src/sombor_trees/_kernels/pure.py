@@ -11,10 +11,18 @@ deep child, by resetting the tail to a path (Wright, Richmond, Odlyzko &
 McKay, "Constant time generation of free trees", SIAM J. Comput. 15(2),
 1986).  About 1.04 to 1.14 sequences are visited per tree for n = 12..18.
 
-The compiled backend mirrors this module function for function, including the
-floating-point accumulation order, so both produce bit-identical results.  Its
-generator still forces the successor without the tail reset (ROADMAP D6
-rewrites it), so it visits more sequences to yield the same stream.
+``order_fold`` fuses the walk with the per-tree stats: it reads the live
+sequence and the first index the walk changed, keeps parents and degrees
+across trees and redoes only that suffix, then runs the full independence pass
+and Sombor sum of ``_stats`` on them; it copies a sequence only when it sets a
+new best.  ``tree_stats_from_levels`` feeds the same ``_stats``.
+
+The compiled backend mirrors the generator and the stats function for
+function, including the floating-point accumulation order, so both produce
+bit-identical results.  It has no fused fold yet and folds through the shared
+``_kernels._stream_fold`` until ROADMAP D6 exports an all-C one.  Its
+generator still forces the successor without the tail reset (D6 rewrites it),
+so it visits more sequences to yield the same stream.
 """
 
 from __future__ import annotations
@@ -77,55 +85,51 @@ def _free_check(L: Sequence[int]) -> tuple[bool, int]:
     return True, m
 
 
-def _successor(L: list[int], p: int | None) -> bool:
+def _successor(L: list[int], p: int | None) -> int:
     """Advance L in place to the next canonical rooted sequence.
 
     p forces the change at that index; None, or a forced index already at
     level 1, takes the natural chop at the last entry above level 1.  Returns
-    False, leaving L untouched, when the stream is exhausted.
+    the first index rewritten, or 0, leaving L untouched, when the stream is
+    exhausted.
     """
     n = len(L)
     if p is not None and p <= 0:
-        return False
+        return 0
     if p is None or L[p] < 2:
         p = n - 1
         while p > 0 and L[p] == 1:
             p -= 1
         if p <= 0:
-            return False
+            return 0
     q = p - 1
     while L[q] != L[p] - 1:
         q -= 1
     d = p - q
     for i in range(p, n):
         L[i] = L[i - d]
-    return True
+    return p
 
 
-def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, ...]]:
-    """One canonical level sequence per free tree on n vertices.
+def _walk(n: int, use_jump: bool = True) -> Iterator[tuple[list[int], int]]:
+    """Walk the free-tree stream: yield (L, lo) once per free tree.
 
-    use_jump=False disables the block-skipping acceleration and filters the
-    full rooted stream instead; both modes must yield identical sequences.
+    L is the live sequence, rewritten in place after each yield, and lo is the
+    first index that changed since the previous yield.  L[0] is 0 throughout,
+    so the first yield reports lo = 1.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if n == 1:
-        yield (0,)
-        return
-    if n == 2:
-        yield (0, 1)
-        return
     L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    lo = 1
     while True:
         valid, m = _free_check(L)
         if valid:
-            yield tuple(L)
+            yield L, lo
+            lo = n
+            p = _successor(L, None)
         elif use_jump:
             deep = L[m - 1] > 2
-            if not _successor(L, m - 1):
-                return
-            if deep:
+            p = _successor(L, m - 1)
+            if p and deep:
                 # Tail reset of Wright, Richmond, Odlyzko & McKay (1986).  The
                 # forced successor copied a subtree at level >= 2 to the end,
                 # so the root has one child; let h + 1 be the tree's height.
@@ -140,9 +144,94 @@ def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, .
                 # first subtree starts with the chain and outlasts the path.
                 h = max(L) - 1
                 L[n - h - 1:] = range(1, h + 2)
-            continue
-        if not _successor(L, None):
+                p = min(p, n - h - 1)
+        else:
+            p = _successor(L, None)
+        if not p:
             return
+        lo = min(lo, p)
+
+
+def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, ...]]:
+    """One canonical level sequence per free tree on n vertices.
+
+    use_jump=False disables the block-skipping acceleration and filters the
+    full rooted stream instead; both modes must yield identical sequences.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    for L, _ in _walk(n, use_jump):
+        yield tuple(L)
+
+
+def _stats(parent: Sequence[int], deg: Sequence[int], roots) -> tuple[float, int]:
+    """(Sombor index, independence number) of the tree given by its preorder
+    parents and degrees; roots[a][b] must equal math.sqrt(a * a + b * b).
+
+    Children come after their parent in preorder, so a greedy matching of each
+    unmatched vertex to its unmatched parent, taken in reverse preorder, is a
+    maximum matching nu, and alpha = n - nu by König's theorem.
+    """
+    n = len(parent)
+    matched = [0] * n
+    nu = 0
+    for i in range(n - 1, 0, -1):
+        if not matched[i]:
+            p = parent[i]
+            if not matched[p]:
+                matched[p] = 1
+                nu += 1
+    so = 0.0
+    for i in range(1, n):
+        so += roots[deg[i]][deg[parent[i]]]
+    return so, n - nu
+
+
+def order_fold(n: int) -> dict:
+    """Fold the whole order-n stream into every alpha cell in one walk.
+
+    Returns the same cells as the shared ``_kernels._stream_fold``.  Parents
+    and degrees follow the walk: only the entries from the first changed index
+    on are redone for each tree.
+    """
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    stats = _stats
+    roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
+    parent = [0] * n
+    deg = [n - 1] + [1] * (n - 1)  # the star; the first tree redoes L[1:]
+    count = [0] * (n + 1)
+    best = [float("-inf")] * (n + 1)
+    runner = [float("-inf")] * (n + 1)
+    ties = [0] * (n + 1)
+    first = [None] * (n + 1)
+    for L, lo in _walk(n):
+        for i in range(lo, n):
+            # parent of i: the first of i - 1 and its ancestors below L[i]
+            deg[parent[i]] -= 1
+            li = L[i]
+            p = i - 1
+            while L[p] >= li:
+                p = parent[p]
+            parent[i] = p
+            deg[p] += 1
+        so, a = stats(parent, deg, roots)
+        count[a] += 1
+        b = best[a]
+        if so > b:
+            runner[a] = b
+            best[a] = so
+            ties[a] = 1
+            first[a] = tuple(L)
+        elif so == b:
+            ties[a] += 1
+        elif so > runner[a]:
+            runner[a] = so
+    return {
+        a: (count[a], best[a], runner[a], ties[a], first[a])
+        for a in range(n + 1)
+        if count[a]
+    }
 
 
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
@@ -150,26 +239,14 @@ def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
     n = len(levels)
     parent = [0] * n
     last_at = [0] * (n + 1)
-    for i in range(1, n):
-        li = levels[i]
-        parent[i] = last_at[li - 1]
-        last_at[li] = i
     deg = [0] * n
     for i in range(1, n):
+        li = levels[i]
+        p = parent[i] = last_at[li - 1]
+        last_at[li] = i
         deg[i] += 1
-        deg[parent[i]] += 1
-    incl = [1] * n
-    excl = [0] * n
-    for i in range(n - 1, 0, -1):
-        p = parent[i]
-        ii = incl[i]
-        ei = excl[i]
-        excl[p] += ii if ii > ei else ei
-        incl[p] += ei
-    alpha = incl[0] if incl[0] > excl[0] else excl[0]
-    so = 0.0
-    for i in range(1, n):
-        du = deg[i]
-        dv = deg[parent[i]]
-        so += math.sqrt(du * du + dv * dv)
-    return so, alpha
+        deg[p] += 1
+    # at most 2 * sqrt(n) distinct degrees, so this table stays O(n)
+    ds = set(deg)
+    roots = {a: {b: math.sqrt(a * a + b * b) for b in ds} for a in ds}
+    return _stats(parent, deg, roots)

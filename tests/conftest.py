@@ -60,8 +60,10 @@ def compiled(tmp_path_factory):
 
 
 def bind_backend(monkeypatch, mod):
-    """Bind mod's generator and stats in ``_kernels``, where ``order_fold`` and
-    ``enumerate_family`` look them up; monkeypatch restores them."""
+    """Bind mod's generator and stats in ``_kernels``, where ``_stream_fold``
+    and ``enumerate_family`` look them up; monkeypatch restores them.  The pure
+    backend's fused ``order_fold`` walks on its own and ignores them; the
+    compiled backend folds through ``_stream_fold`` until ROADMAP D6."""
     monkeypatch.setattr(_kernels, "iter_level_sequences", mod.iter_level_sequences)
     monkeypatch.setattr(_kernels, "tree_stats_from_levels", mod.tree_stats_from_levels)
 

@@ -1,18 +1,21 @@
 """Backend parity: the compiled kernels must match the pure backend bit for
 bit, and both must agree with the adjacency-based library routines.  The
-one-pass order fold must equal a separate fold per alpha.  The ``compiled``
-fixture lives in conftest.py."""
+one-pass order fold must equal a separate fold per alpha, and the pure
+backend's fused fold must equal the shared stream fold over either backend.
+The ``compiled`` fixture lives in conftest.py."""
 
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from sombor_trees import _kernels
-from sombor_trees._kernels import order_fold, pure
+from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.invariants import independence_number_oracle, sombor_index
 from sombor_trees.tree import Tree
 
@@ -28,10 +31,23 @@ class TestPureKernels:
                 assert so == pytest.approx(sombor_index(t), abs=1e-12)
                 assert alpha == independence_number_oracle(t)
 
-    def test_order_fold_sizes_partition_the_stream(self, monkeypatch):
+    def test_standalone_stats_stay_linear_in_memory(self):
+        # the fold's n x n table of roots would take about 200 MB here
+        n = 5000
+        star = (0,) + (1,) * (n - 1)
+        tracemalloc.start()
+        try:
+            so, alpha = pure.tree_stats_from_levels(star)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alpha == n - 1
+        assert math.isclose(so, (n - 1) * math.sqrt((n - 1) ** 2 + 1))
+        assert peak < 2**22, peak
+
+    def test_order_fold_sizes_partition_the_stream(self):
         # family sizes across alpha partition the order-9 stream
-        bind_backend(monkeypatch, pure)
-        fold = order_fold(9)
+        fold = pure.order_fold(9)
         assert sorted(fold) == [5, 6, 7, 8]
         total = 0
         for count, best, runner, ties, first in fold.values():
@@ -39,10 +55,9 @@ class TestPureKernels:
             total += count
         assert total == 47
 
-    def test_order_fold_trivial_orders(self, monkeypatch):
-        bind_backend(monkeypatch, pure)
-        assert order_fold(1) == {1: (1, 0.0, -math.inf, 1, (0,))}
-        ((alpha, (count, best, runner, ties, first)),) = order_fold(2).items()
+    def test_order_fold_trivial_orders(self):
+        assert pure.order_fold(1) == {1: (1, 0.0, -math.inf, 1, (0,))}
+        ((alpha, (count, best, runner, ties, first)),) = pure.order_fold(2).items()
         assert alpha == 1
         assert count == 1 and best == pytest.approx(math.sqrt(2))
         assert (runner, ties, first) == (-math.inf, 1, (0, 1))
@@ -61,20 +76,51 @@ class TestPureKernels:
             tree_stats_from_levels=stream.__getitem__,
         )
         bind_backend(monkeypatch, scripted)
-        assert order_fold(2) == {
+        assert _stream_fold(2) == {
             1: (4, 3.0, 3.0 - 1e-12, 2, (0, 2)),
             2: (1, 1.0, -math.inf, 1, (0, 5)),
         }
 
-    def test_order_fold_equals_one_fold_per_alpha(self, monkeypatch):
-        bind_backend(monkeypatch, pure)
+    def test_fused_fold_counts_exact_ties_only(self, monkeypatch):
+        # the order-6 walk, with (so, alpha) scripted in stream order
+        script = iter(
+            [(2.0, 3), (3.0, 3), (3.0 - 1e-12, 3), (3.0, 3), (1.0, 4), (0.5, 4)]
+        )
+        monkeypatch.setattr(pure, "_stats", lambda parent, deg, roots: next(script))
+        stream = list(pure.iter_level_sequences(6))
+        assert len(stream) == 6
+        assert pure.order_fold(6) == {
+            3: (4, 3.0, 3.0 - 1e-12, 2, stream[1]),
+            4: (2, 1.0, 0.5, 1, stream[4]),
+        }
+
+    def test_order_fold_equals_one_fold_per_alpha(self):
         for n in range(1, 12):
-            fold = order_fold(n)
+            fold = pure.order_fold(n)
             for alpha in range(1, n + 1):
                 assert fold.get(alpha) == _fold_one_alpha(n, alpha)
 
+    def test_fused_fold_equals_the_stream_fold(self, monkeypatch):
+        bind_backend(monkeypatch, pure)
+        for n in range(1, 15):
+            assert pure.order_fold(n) == _stream_fold(n)
+
+    def test_walk_reports_the_first_changed_index(self):
+        # the fused fold redoes parents and degrees from lo on, and only there
+        for use_jump in (True, False):
+            for n in range(1, 13):
+                prev = None
+                for L, lo in pure._walk(n, use_jump):
+                    if prev is None:
+                        assert lo == 1
+                    else:
+                        changed = [i for i in range(n) if L[i] != prev[i]]
+                        assert lo == changed[0], (n, use_jump, prev, L)
+                    prev = list(L)
+
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
-        # the generator checks every sequence it visits, once
+        # the walk checks every sequence it visits, once, under the generator
+        # and under the fused fold alike
         visited = 0
 
         def counting(L):
@@ -88,13 +134,19 @@ class TestPureKernels:
             visited = 0
             accepted = sum(1 for _ in pure.iter_level_sequences(n))
             assert visited / accepted <= 1.5, (n, visited, accepted)
+            visited = 0
+            folded = sum(cell[0] for cell in pure.order_fold(n).values())
+            assert folded == accepted
+            assert visited / folded <= 1.5, (n, visited, folded)
 
     def test_rejects_bad_order(self, monkeypatch):
         with pytest.raises(ValueError):
             list(pure.iter_level_sequences(0))
+        with pytest.raises(ValueError):
+            pure.order_fold(0)
         bind_backend(monkeypatch, pure)
         with pytest.raises(ValueError):
-            order_fold(0)
+            _stream_fold(0)
 
 
 def _fold_one_alpha(n, alpha):
@@ -134,11 +186,10 @@ class TestCompiledParity:
                 )
 
     def test_order_fold_bit_identical(self, compiled, monkeypatch):
-        for n in range(1, 13):
-            bind_backend(monkeypatch, compiled)
-            fold = order_fold(n)
-            bind_backend(monkeypatch, pure)
-            assert fold == order_fold(n)
+        # the compiled backend folds through _stream_fold
+        bind_backend(monkeypatch, compiled)
+        for n in range(1, 14):
+            assert _stream_fold(n) == pure.order_fold(n)
 
     def test_rooted_streams_identical(self, compiled):
         for n in range(1, 10):
@@ -152,23 +203,41 @@ class TestBackendSelection:
         assert _kernels.BACKEND in ("pure", "compiled")
         assert callable(_kernels.iter_level_sequences)
         assert callable(_kernels.tree_stats_from_levels)
-        assert callable(_kernels.order_fold)
+        fused = pure.order_fold if _kernels.BACKEND == "pure" else _stream_fold
+        assert _kernels.order_fold is fused
         assert "family_sweep" not in _kernels.__all__
 
     def test_unknown_backend_is_an_import_error(self):
-        env = dict(os.environ, SOMBOR_TREES_BACKEND="bogus")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", "import sombor_trees"],
-            capture_output=True,
-            env=env,
-            timeout=60,
-        )
+        done = _import_package("bogus", ROOT / "src")
         assert done.returncode != 0
         assert b"ImportError" in done.stderr
         assert b"'pure'" in done.stderr and b"'compiled'" in done.stderr
+
+    def test_compiled_without_the_build_names_the_setting(self, tmp_path):
+        shutil.copytree(
+            ROOT / "src" / "sombor_trees",
+            tmp_path / "sombor_trees",
+            ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"),
+        )
+        done = _import_package("compiled", tmp_path)
+        assert done.returncode != 0
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith(b"ImportError: SOMBOR_TREES_BACKEND=compiled")
+        assert b"python setup.py build_ext --inplace" in last
+
+
+def _import_package(backend, path):
+    """``import sombor_trees`` in a fresh interpreter, from path first."""
+    env = dict(os.environ, SOMBOR_TREES_BACKEND=backend)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(path), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", "import sombor_trees"],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
 
 
 class TestGeneratedSource:
