@@ -3,26 +3,25 @@
 A tree is encoded by its preorder depth sequence ("level sequence") with the
 root at level 0 and children laid out in non-increasing lexicographic order
 of their subsequences.  Canonical rooted sequences are generated in strictly
-decreasing lexicographic order by the classic chop-and-replicate successor;
-free (unrooted) trees keep exactly one center-rooted representative per
-isomorphism class.  Invalid blocks are skipped by forcing the successor at
-the end of the first root subtree and, when that leaves the root a single
-deep child, by resetting the tail to a path (Wright, Richmond, Odlyzko &
-McKay, "Constant time generation of free trees", SIAM J. Comput. 15(2),
-1986).  About 1.04 to 1.14 sequences are visited per tree for n = 12..18.
+decreasing lexicographic order by the classic chop-and-replicate successor
+(``iter_rooted_level_sequences``); a free tree keeps the one center-rooted
+representative that ``_free_check`` accepts.  The one walk, ``_walk``, skips
+invalid blocks by forcing the successor at the end of the first root subtree
+and, when that leaves the root a single deep child, by resetting the tail to
+a path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
+trees", SIAM J. Comput. 15(2), 1986): about 1.04 to 1.14 sequences visited
+per tree for n = 12..18.  The filtered rooted stream is its test reference.
 
-``order_fold`` fuses the walk with the per-tree stats: it reads the live
-sequence and the first index the walk changed, keeps parents and degrees
-across trees and redoes only that suffix, then runs the full independence pass
-and Sombor sum of ``_stats`` on them; it copies a sequence only when it sets a
-new best.  ``tree_stats_from_levels`` feeds the same ``_stats``.
+``order_fold`` runs ``_stats`` over the walk, as ``tree_stats_from_levels``
+does on one sequence, but redoes parents and degrees only from the first
+index the walk changed, and copies a sequence only when it sets a new best.
 
 The compiled backend mirrors the generator and the stats function for
 function, including the floating-point accumulation order, so both produce
-bit-identical results.  It has no fused fold yet and folds through the shared
-``_kernels._stream_fold`` until ROADMAP D6 exports an all-C one.  Its
-generator still forces the successor without the tail reset (D6 rewrites it),
-so it visits more sequences to yield the same stream.
+bit-identical results.  It folds through ``_kernels._stream_fold`` until
+ROADMAP D6 exports an all-C fold.  Its generator still lacks the tail reset,
+so it visits more sequences for the same stream; its filter mode
+(``use_jump=False``) is held to the same reference.
 """
 
 from __future__ import annotations
@@ -88,14 +87,12 @@ def _free_check(L: Sequence[int]) -> tuple[bool, int]:
 def _successor(L: list[int], p: int | None) -> int:
     """Advance L in place to the next canonical rooted sequence.
 
-    p forces the change at that index; None, or a forced index already at
+    p >= 1 forces the change at that index; None, or a forced index already at
     level 1, takes the natural chop at the last entry above level 1.  Returns
     the first index rewritten, or 0, leaving L untouched, when the stream is
     exhausted.
     """
     n = len(L)
-    if p is not None and p <= 0:
-        return 0
     if p is None or L[p] < 2:
         p = n - 1
         while p > 0 and L[p] == 1:
@@ -111,7 +108,7 @@ def _successor(L: list[int], p: int | None) -> int:
     return p
 
 
-def _walk(n: int, use_jump: bool = True) -> Iterator[tuple[list[int], int]]:
+def _walk(n: int) -> Iterator[tuple[list[int], int]]:
     """Walk the free-tree stream: yield (L, lo) once per free tree.
 
     L is the live sequence, rewritten in place after each yield, and lo is the
@@ -126,10 +123,10 @@ def _walk(n: int, use_jump: bool = True) -> Iterator[tuple[list[int], int]]:
             yield L, lo
             lo = n
             p = _successor(L, None)
-        elif use_jump:
+        else:
             deep = L[m - 1] > 2
             p = _successor(L, m - 1)
-            if p and deep:
+            if deep:  # forced at level >= 3, so p = m - 1 >= 1
                 # Tail reset of Wright, Richmond, Odlyzko & McKay (1986).  The
                 # forced successor copied a subtree at level >= 2 to the end,
                 # so the root has one child; let h + 1 be the tree's height.
@@ -145,22 +142,16 @@ def _walk(n: int, use_jump: bool = True) -> Iterator[tuple[list[int], int]]:
                 h = max(L) - 1
                 L[n - h - 1:] = range(1, h + 2)
                 p = min(p, n - h - 1)
-        else:
-            p = _successor(L, None)
         if not p:
             return
         lo = min(lo, p)
 
 
-def iter_level_sequences(n: int, use_jump: bool = True) -> Iterator[tuple[int, ...]]:
-    """One canonical level sequence per free tree on n vertices.
-
-    use_jump=False disables the block-skipping acceleration and filters the
-    full rooted stream instead; both modes must yield identical sequences.
-    """
+def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """One canonical level sequence per free tree on n vertices."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    for L, _ in _walk(n, use_jump):
+    for L, _ in _walk(n):
         yield tuple(L)
 
 
@@ -237,6 +228,8 @@ def order_fold(n: int) -> dict:
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
     """(Sombor index, independence number) of the encoded tree."""
     n = len(levels)
+    if n < 1:
+        raise ValueError("empty level sequence")
     parent = [0] * n
     last_at = [0] * (n + 1)
     deg = [0] * n

@@ -73,7 +73,5 @@ def random_tree(order: int, rng: random.Random) -> Tree:
     """Uniform over labeled trees (random Prüfer sequence)."""
     if order == 1:
         return Tree.from_edges(1, [])
-    if order == 2:
-        return Tree.from_edges(2, [(0, 1)])
     seq = [rng.randrange(order) for _ in range(order - 2)]
     return prufer_to_tree(seq, order)

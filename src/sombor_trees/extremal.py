@@ -112,8 +112,8 @@ def classify(t: Tree) -> TreeClass:
     """Structural family test on the star core (see star_core).
 
     A core that is a star with every vertex carrying a pendant is T1 (TStar
-    when the non-hub pendant counts are all exactly one); a star core whose
-    hub alone is bare is T2.  Anything with a non-star core is Other.
+    when the non-hub pendant counts are all exactly one); a bare hub makes it
+    T2, never at alpha = n/2.  Anything with a non-star core is Other.
     """
     if t.order <= 2:
         return TreeClass.STAR
@@ -128,9 +128,6 @@ def classify(t: Tree) -> TreeClass:
         if all(c == 1 for w, c in counts.items() if w != hub):
             return TreeClass.TSTAR
         return TreeClass.T1
-    implied_alpha = t.order - len(counts) + 1
-    if 2 * implied_alpha == t.order:
-        return TreeClass.OTHER  # the bare-hub family is only defined away from alpha = n/2
     return TreeClass.T2
 
 

@@ -1,7 +1,8 @@
 """Degree- and independence-based tree invariants.
 
-The independence number has two routes on purpose: the kernel's linear-time
-rooted DP, run on a preorder level sequence of the tree, and a subset-sweep
+The independence number has two routes on purpose: the kernel, run on a
+preorder level sequence of the tree (pure: n minus a greedy maximum matching,
+by König's theorem; compiled: the rooted incl/excl DP), and a subset-sweep
 oracle kept as its independent check in the tests.  ``sombor_index`` sums the
 paper's edge formula directly and is the per-tree reference for the kernel's
 Sombor value.
@@ -32,7 +33,7 @@ def sombor_index(t: Tree) -> float:
 
 
 def independence_number(t: Tree) -> int:
-    """Size of a maximum independent set, by the kernel's rooted DP."""
+    """Size of a maximum independent set, by the kernel's stats."""
     return _kernels.tree_stats_from_levels(preorder_levels(t))[1]
 
 

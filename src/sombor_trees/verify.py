@@ -93,6 +93,7 @@ def verify(
     """Verify every feasible (order, alpha) cell with n_min <= order <= n_max."""
     if not 2 <= n_min <= n_max:
         raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
+    cap = min(cap, 2**31 - 1)  # the compiled kernels take the order as a C int
     if n_max > cap:
         raise SizeLimitError(f"n_max {n_max} exceeds the cap {cap}")
     if jobs < 1:

@@ -1,7 +1,8 @@
 """Shared helpers: the compiled-backend fixture and backend binding, cached
-enumeration sweeps,
-the labeled-tree reference oracle (Prüfer decoding + isomorphism-class
-interning), and tree automorphism counts for the exact Cayley cross-check."""
+enumeration sweeps, the free-tree stream's reference (the rooted stream
+filtered by the free check), the labeled-tree reference oracle (Prüfer
+decoding + isomorphism-class interning), and tree automorphism counts for the
+exact Cayley cross-check."""
 
 import heapq
 import importlib.util
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from sombor_trees import _kernels
+from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_free_trees, random_tree
 from sombor_trees.tree import Tree
 
@@ -66,6 +68,14 @@ def bind_backend(monkeypatch, mod):
     compiled backend folds through ``_stream_fold`` until ROADMAP D6."""
     monkeypatch.setattr(_kernels, "iter_level_sequences", mod.iter_level_sequences)
     monkeypatch.setattr(_kernels, "tree_stats_from_levels", mod.tree_stats_from_levels)
+
+
+@lru_cache(maxsize=None)
+def filtered_rooted_stream(n):
+    """The free-tree stream's reference: every canonical rooted sequence of
+    order n that the free check accepts, in rooted-stream order.  Both
+    generators and the compiled filter mode must yield exactly this."""
+    return [L for L in pure.iter_rooted_level_sequences(n) if pure._free_check(L)[0]]
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,12 @@ from sombor_trees.errors import OrderRangeError, SizeLimitError
 from sombor_trees.invariants import independence_number, independence_number_oracle
 from sombor_trees.tree import Tree, canonical_code
 
-from conftest import grow_by_leaf, prufer_iso_classes, trees_of_order
+from conftest import (
+    filtered_rooted_stream,
+    grow_by_leaf,
+    prufer_iso_classes,
+    trees_of_order,
+)
 
 # A000055: non-isomorphic trees by order
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -67,12 +72,11 @@ class TestIsomorphismExactness:
             assert len(grown) == FREE_TREE_COUNTS[n - 1]
             assert set(grown) == {canonical_code(t) for t in trees_of_order(n)}
 
-    def test_jump_and_filter_modes_agree(self):
-        # use_jump=False filters the whole rooted stream: the reference mode
-        for n in range(3, 17):
-            fast = list(pure.iter_level_sequences(n, use_jump=True))
-            slow = list(pure.iter_level_sequences(n, use_jump=False))
-            assert fast == slow
+    def test_walk_equals_the_filtered_rooted_stream(self):
+        # the walk skips blocks of the rooted stream that the free check
+        # would reject; what it yields must be exactly what the check keeps
+        for n in range(1, 17):
+            assert list(pure.iter_level_sequences(n)) == filtered_rooted_stream(n), n
 
 
 class TestDeterminism:

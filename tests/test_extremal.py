@@ -177,6 +177,23 @@ class TestClassify:
                         canonical_code(t) == star_code
                     )
 
+    def test_t2_trees_have_alpha_above_half_n(self):
+        # a bare hub on a star core of s vertices has a pendant on each of the
+        # other s - 1, so n >= 2s - 1 and alpha = n - s + 1 > n/2: classify
+        # needs no alpha = n/2 case
+        rng = random.Random(12)
+        seen = 0
+        for n in range(3, 13):
+            for levels in pure.iter_level_sequences(n):
+                t = Tree.from_level_sequence(levels)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for u in (t, t.relabel(perm)):
+                    if classify(u) is TreeClass.T2:
+                        seen += 1
+                        assert 2 * independence_number_oracle(u) > n, levels
+        assert seen > 0
+
     def test_generated_t2_members_classify_back(self):
         for n in range(4, 13):
             for alpha in feasible_alpha_range(n):

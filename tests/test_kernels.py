@@ -19,7 +19,7 @@ from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.invariants import independence_number_oracle, sombor_index
 from sombor_trees.tree import Tree
 
-from conftest import ROOT, bind_backend, perfbench_build
+from conftest import ROOT, bind_backend, filtered_rooted_stream, perfbench_build
 
 
 class TestPureKernels:
@@ -107,16 +107,15 @@ class TestPureKernels:
 
     def test_walk_reports_the_first_changed_index(self):
         # the fused fold redoes parents and degrees from lo on, and only there
-        for use_jump in (True, False):
-            for n in range(1, 13):
-                prev = None
-                for L, lo in pure._walk(n, use_jump):
-                    if prev is None:
-                        assert lo == 1
-                    else:
-                        changed = [i for i in range(n) if L[i] != prev[i]]
-                        assert lo == changed[0], (n, use_jump, prev, L)
-                    prev = list(L)
+        for n in range(1, 13):
+            prev = None
+            for L, lo in pure._walk(n):
+                if prev is None:
+                    assert lo == 1
+                else:
+                    changed = [i for i in range(n) if L[i] != prev[i]]
+                    assert lo == changed[0], (n, prev, L)
+                prev = list(L)
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
         # the walk checks every sequence it visits, once, under the generator
@@ -173,9 +172,10 @@ class TestCompiledParity:
             )
 
     def test_no_jump_mode_matches(self, compiled):
+        # the compiled generator keeps a filter mode; pure keeps only the walk
         for n in range(3, 11):
-            assert list(compiled.iter_level_sequences(n, use_jump=False)) == list(
-                pure.iter_level_sequences(n, use_jump=False)
+            assert list(compiled.iter_level_sequences(n, use_jump=False)) == (
+                filtered_rooted_stream(n)
             )
 
     def test_stats_bit_identical(self, compiled):
@@ -184,6 +184,11 @@ class TestCompiledParity:
                 assert compiled.tree_stats_from_levels(levels) == (
                     pure.tree_stats_from_levels(levels)
                 )
+
+    def test_empty_level_sequence_is_an_error(self, compiled):
+        for mod in (pure, compiled):
+            with pytest.raises(ValueError, match="empty level sequence"):
+                mod.tree_stats_from_levels(())
 
     def test_order_fold_bit_identical(self, compiled, monkeypatch):
         # the compiled backend folds through _stream_fold

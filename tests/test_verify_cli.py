@@ -309,6 +309,9 @@ USAGE_ERRORS = {
         ["verify", "--n-max", "five"],
         ["verify", "--n-max", "3", "--jobs", "0"],
         ["verify", "--n-max", "3", "--jobs", "-1"],
+        # orders beyond a C int fail before any kernel call or allocation
+        ["verify", "--n-max", "2147483648", "--cap", "2147483648"],
+        ["verify", "--n-max", str(10**20), "--cap", str(10**20)],
     ],
     "compute": [
         ["compute", "--input", "{tmp}/missing.txt"],
@@ -323,6 +326,10 @@ USAGE_ERRORS = {
         ["table", "--n-max", "1", "--output", "{tmp}/t.csv"],
         ["table", "--n-max", "-4", "--output", "{tmp}/t.csv"],
         ["table", "--n-max", "17", "--output", "{tmp}/t.csv"],
+        ["table", "--n-max", "2147483648", "--cap", "2147483648",
+         "--output", "{tmp}/t.csv"],
+        ["table", "--n-max", str(10**20), "--cap", str(10**20),
+         "--output", "{tmp}/t.csv"],
     ],
     "enumerate": [
         ["enumerate", "--n", "0"],
