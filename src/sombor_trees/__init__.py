@@ -20,6 +20,7 @@ from .errors import (
     SizeLimitError,
     SomborTreesError,
     TreeStructureError,
+    WorkerError,
 )
 from .extremal import (
     ExtremalParams,
@@ -82,6 +83,7 @@ __all__ = [
     "TreeClass",
     "TreeStructureError",
     "VerificationReport",
+    "WorkerError",
     "apply_lemma1_case",
     "apply_lemma2_step",
     "apply_theorem_step",

@@ -10,11 +10,17 @@ invalid blocks by forcing the successor at the end of the first root subtree
 and, when that leaves the root a single deep child, by resetting the tail to
 a path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
 trees", SIAM J. Comput. 15(2), 1986): about 1.04 to 1.14 sequences visited
-per tree for n = 12..18.  The filtered rooted stream is its test reference.
+per tree for n = 12..18.  The walk reaches ``_free_check``'s verdict from
+state it keeps across sequences and redoes only from the first index a step
+rewrote; the full-scan ``_free_check`` stays as the reference, and the
+rooted stream filtered by it is the walk's test reference.
 
-``order_fold`` runs ``_stats`` over the walk, as ``tree_stats_from_levels``
-does on one sequence, but redoes parents and degrees only from the first
-index the walk changed, and copies a sequence only when it sets a new best.
+``order_fold`` follows the walk the same way: it keeps parents, degrees and
+the greedy matching's counts across trees, and redoes them only from the
+first index the walk changed and on that index's ancestors.  It sums the
+Sombor index in full, in vertex order, and copies a sequence only when it
+sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
+from scratch for one sequence.
 
 The compiled backend mirrors the generator and the stats function for
 function, including the floating-point accumulation order, so both produce
@@ -114,11 +120,50 @@ def _walk(n: int) -> Iterator[tuple[list[int], int]]:
     L is the live sequence, rewritten in place after each yield, and lo is the
     first index that changed since the previous yield.  L[0] is 0 throughout,
     so the first yield reports lo = 1.
+
+    The walk decides ``_free_check`` on every sequence it visits, but keeps
+    the check's state across them and redoes it only from the first index the
+    last step rewrote: m, the start of the second root subtree; top[i], the
+    maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
+    for i >= m.
     """
     L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    if n == 1:  # the single vertex: nothing to check and no successor
+        yield L, 1
+        return
+    top = [0, 1] + [0] * (n - 2)
+    rest = [0] * n
+    m = n
     lo = 1
+    p = 2  # the first sequence is checked in full; L[1] = 1 always
     while True:
-        valid, m = _free_check(L)
+        if p <= m:  # the rewrite reached the first root subtree: find m again
+            x = top[p - 1]
+            while p < n and L[p] != 1:
+                if L[p] > x:
+                    x = L[p]
+                top[p] = x
+                p += 1
+            m = p
+            h_left = x - 1
+            h_rest = 0
+        else:
+            h_rest = rest[p - 1]
+        for i in range(p, n):
+            if L[i] > h_rest:
+                h_rest = L[i]
+            rest[i] = h_rest
+        # _free_check's verdict, read off the state
+        if h_rest != h_left:
+            valid = h_rest > h_left
+        elif 2 * m != n + 2:  # the sides differ in size: m - 1 against n - m + 1
+            valid = 2 * m < n + 2
+        else:  # the first subtree, one level up, against the rest
+            valid = True
+            for a, b in zip(L[2:m], L[m:]):
+                if a - 1 != b:
+                    valid = a - 1 < b
+                    break
         if valid:
             yield L, lo
             lo = n
@@ -155,42 +200,31 @@ def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(L)
 
 
-def _stats(parent: Sequence[int], deg: Sequence[int], roots) -> tuple[float, int]:
-    """(Sombor index, independence number) of the tree given by its preorder
-    parents and degrees; roots[a][b] must equal math.sqrt(a * a + b * b).
-
-    Children come after their parent in preorder, so a greedy matching of each
-    unmatched vertex to its unmatched parent, taken in reverse preorder, is a
-    maximum matching nu, and alpha = n - nu by König's theorem.
-    """
-    n = len(parent)
-    matched = [0] * n
-    nu = 0
-    for i in range(n - 1, 0, -1):
-        if not matched[i]:
-            p = parent[i]
-            if not matched[p]:
-                matched[p] = 1
-                nu += 1
-    so = 0.0
-    for i in range(1, n):
-        so += roots[deg[i]][deg[parent[i]]]
-    return so, n - nu
-
-
 def order_fold(n: int) -> dict:
     """Fold the whole order-n stream into every alpha cell in one walk.
 
-    Returns the same cells as the shared ``_kernels._stream_fold``.  Parents
-    and degrees follow the walk: only the entries from the first changed index
-    on are redone for each tree.
+    Returns the same cells as the shared ``_kernels._stream_fold``.  Parents,
+    degrees and the independence number follow the walk: each tree redoes
+    only the entries from the first changed index lo on, plus the chain of
+    ancestors of lo - 1, the only earlier vertices whose children changed.
+
+    Children come after their parent in preorder, so a greedy matching of each
+    unmatched vertex to its unmatched parent, taken in reverse preorder, is a
+    maximum matching, and alpha = n - nu by König's theorem, nu its size.  In
+    DP form a vertex is matched from below when any of its children is left
+    unmatched by its own subtree; free[v] counts those children of v, and nu
+    is the number of vertices matched from below.  The Sombor index is summed
+    in full, in vertex order, as the compiled backend sums it.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    stats = _stats
     roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
+    # the star; the first tree redoes L[1:]
     parent = [0] * n
-    deg = [n - 1] + [1] * (n - 1)  # the star; the first tree redoes L[1:]
+    deg = [n - 1] + [1] * (n - 1)
+    free = [n - 1] + [0] * (n - 1)
+    below = [False] * n
+    nu = 0  # vertices other than the root matched from below
     count = [0] * (n + 1)
     best = [float("-inf")] * (n + 1)
     runner = [float("-inf")] * (n + 1)
@@ -198,15 +232,44 @@ def order_fold(n: int) -> dict:
     first = [None] * (n + 1)
     for L, lo in _walk(n):
         for i in range(lo, n):
-            # parent of i: the first of i - 1 and its ancestors below L[i]
-            deg[parent[i]] -= 1
+            # undo i under its old parent, then find its new one: the first of
+            # i - 1 and its ancestors below L[i]
+            p = parent[i]
+            deg[p] -= 1
+            if below[i]:
+                nu -= 1
+            else:
+                free[p] -= 1
             li = L[i]
             p = i - 1
             while L[p] >= li:
                 p = parent[p]
             parent[i] = p
             deg[p] += 1
-        so, a = stats(parent, deg, roots)
+        # free[i] is 0 for i >= lo now; redo them deepest first
+        for i in range(n - 1, lo - 1, -1):
+            if free[i]:
+                below[i] = True
+                nu += 1
+            else:
+                below[i] = False
+                free[parent[i]] += 1
+        v = lo - 1
+        while v:
+            b = free[v] > 0
+            if b != below[v]:
+                below[v] = b
+                if b:
+                    nu += 1
+                    free[parent[v]] -= 1
+                else:
+                    nu -= 1
+                    free[parent[v]] += 1
+            v = parent[v]
+        so = 0.0
+        for i in range(1, n):
+            so += roots[deg[i]][deg[parent[i]]]
+        a = n - nu - (free[0] > 0)
         count[a] += 1
         b = best[a]
         if so > b:
@@ -226,20 +289,36 @@ def order_fold(n: int) -> dict:
 
 
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
-    """(Sombor index, independence number) of the encoded tree."""
+    """(Sombor index, independence number) of the encoded tree, by the same
+    greedy matching and vertex-order sum as ``order_fold``.  Raises ValueError
+    unless levels is a preorder depth sequence starting at level 0."""
     n = len(levels)
     if n < 1:
         raise ValueError("empty level sequence")
+    if levels[0] != 0:
+        raise ValueError("level sequence must start with 0")
     parent = [0] * n
     last_at = [0] * (n + 1)
     deg = [0] * n
     for i in range(1, n):
         li = levels[i]
+        if not 1 <= li <= levels[i - 1] + 1:
+            raise ValueError(f"level jump at position {i}")
         p = parent[i] = last_at[li - 1]
         last_at[li] = i
         deg[i] += 1
         deg[p] += 1
-    # at most 2 * sqrt(n) distinct degrees, so this table stays O(n)
-    ds = set(deg)
-    roots = {a: {b: math.sqrt(a * a + b * b) for b in ds} for a in ds}
-    return _stats(parent, deg, roots)
+    matched = [False] * n
+    nu = 0
+    for i in range(n - 1, 0, -1):
+        if not matched[i]:
+            p = parent[i]
+            if not matched[p]:
+                matched[p] = True
+                nu += 1
+    so = 0.0
+    for i in range(1, n):
+        du = deg[i]
+        dv = deg[parent[i]]
+        so += math.sqrt(du * du + dv * dv)
+    return so, n - nu

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .enumeration import enumerate_family
@@ -150,9 +149,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (SomborTreesError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenProcessPool as exc:  # a worker died: an error, never a violation
-        print(f"error: worker process failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,3 +31,7 @@ class InfeasibleParamsError(SomborTreesError, ValueError):
 
 class PreconditionError(SomborTreesError, ValueError):
     """A transformation's structural hypotheses are not met by the input."""
+
+
+class WorkerError(SomborTreesError, RuntimeError):
+    """A worker process of a parallel run died before returning its result."""

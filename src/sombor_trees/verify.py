@@ -8,18 +8,19 @@ isomorphism class, so a cell passes when the brute-force maximum matches the
 closed form within SO_TOL, its only maximizing sequence is the extremal
 tree's, and every other tree lies more than SO_TOL below it.  Orders are
 independent, so they optionally fan out to a process pool; the merged report
-is sorted and byte-stable.
+is sorted and byte-stable.  The pool is imported only when ``jobs > 1``
+starts one, so a serial run never loads ``concurrent.futures`` or
+``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import OrderRangeError, SizeLimitError
+from .errors import OrderRangeError, SizeLimitError, WorkerError
 from .extremal import closed_form_max, feasible_alpha_range, t_star_levels
 
 DEFAULT_VERIFY_CAP = 16
@@ -90,7 +91,10 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
 def verify(
     n_min: int, n_max: int, jobs: int = 1, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
-    """Verify every feasible (order, alpha) cell with n_min <= order <= n_max."""
+    """Verify every feasible (order, alpha) cell with n_min <= order <= n_max.
+
+    Raises WorkerError, from the pool's BrokenProcessPool, when a worker
+    process dies."""
     if not 2 <= n_min <= n_max:
         raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
     cap = min(cap, 2**31 - 1)  # the compiled kernels take the order as a C int
@@ -102,8 +106,13 @@ def verify(
     if jobs == 1:
         results = [_verify_order(n) for n in orders]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(orders))) as pool:
-            results = list(pool.map(_verify_order, orders, chunksize=1))
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(orders))) as pool:
+                results = list(pool.map(_verify_order, orders, chunksize=1))
+        except BrokenProcessPool as exc:  # an error, never a violation
+            raise WorkerError(f"worker process failed: {exc}") from exc
     results.reverse()  # map keeps input order: back to ascending (n, alpha)
     return VerificationReport(
         records=tuple(rec for recs, _ in results for rec in recs),

@@ -82,16 +82,31 @@ class TestPureKernels:
         }
 
     def test_fused_fold_counts_exact_ties_only(self, monkeypatch):
-        # the order-6 walk, with (so, alpha) scripted in stream order
-        script = iter(
-            [(2.0, 3), (3.0, 3), (3.0 - 1e-12, 3), (3.0, 3), (1.0, 4), (0.5, 4)]
-        )
-        monkeypatch.setattr(pure, "_stats", lambda parent, deg, roots: next(script))
-        stream = list(pure.iter_level_sequences(6))
-        assert len(stream) == 6
-        assert pure.order_fold(6) == {
-            3: (4, 3.0, 3.0 - 1e-12, 2, stream[1]),
-            4: (2, 1.0, 0.5, 1, stream[4]),
+        # a scripted order-10 walk over real trees, out of stream order: y1
+        # and y2 tie exactly at alpha 6, and x lies a few ulps below them
+        low = (0, 1, 2, 3, 1, 2, 3, 1, 2, 3)
+        y1 = (0, 1, 2, 3, 4, 3, 1, 2, 3, 3)
+        x = (0, 1, 2, 3, 4, 1, 2, 3, 3, 1)
+        y2 = (0, 1, 2, 3, 4, 2, 1, 2, 3, 3)
+        big, small = (0, 1, 2, 2, 1, 2, 2, 1, 2, 2), (0, 1, 2, 3, 3, 1, 2, 3, 3, 1)
+        script = [low, y1, x, y2, big, small]
+        stats = {L: pure.tree_stats_from_levels(L) for L in script}
+        so = {L: value for L, (value, _) in stats.items()}
+        assert [a for _, a in stats.values()] == [6, 6, 6, 6, 7, 7]
+        assert so[low] < so[x] < so[y1] == so[y2] and 0 < so[y1] - so[x] < 1e-12
+        assert so[small] < so[big]
+
+        def walk(n):
+            # each tree with the first index it changed, as _walk reports it
+            prev = (0,) + (1,) * (n - 1)
+            for L in script:
+                yield list(L), next(i for i in range(1, n) if L[i] != prev[i])
+                prev = L
+
+        monkeypatch.setattr(pure, "_walk", walk)
+        assert pure.order_fold(10) == {
+            6: (4, so[y1], so[x], 2, y1),
+            7: (2, so[big], so[small], 1, big),
         }
 
     def test_order_fold_equals_one_fold_per_alpha(self):
@@ -102,7 +117,7 @@ class TestPureKernels:
 
     def test_fused_fold_equals_the_stream_fold(self, monkeypatch):
         bind_backend(monkeypatch, pure)
-        for n in range(1, 15):
+        for n in range(1, 17):
             assert pure.order_fold(n) == _stream_fold(n)
 
     def test_walk_reports_the_first_changed_index(self):
@@ -118,17 +133,21 @@ class TestPureKernels:
                 prev = list(L)
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
-        # the walk checks every sequence it visits, once, under the generator
-        # and under the fused fold alike
+        # the walk advances once from every sequence it visits, under the
+        # generator and under the fused fold alike: naturally when its
+        # suffix-following check accepts the sequence, else forced at m - 1,
+        # and the full-scan _free_check must agree with it every time
         visited = 0
 
-        def counting(L):
+        def counting(L, p):
             nonlocal visited
             visited += 1
-            return free_check(L)
+            valid, m = free_check(L)
+            assert p == (None if valid else m - 1), (L, p, valid, m)
+            return successor(L, p)
 
-        free_check = pure._free_check
-        monkeypatch.setattr(pure, "_free_check", counting)
+        free_check, successor = pure._free_check, pure._successor
+        monkeypatch.setattr(pure, "_successor", counting)
         for n in range(12, 19):
             visited = 0
             accepted = sum(1 for _ in pure.iter_level_sequences(n))
@@ -137,6 +156,18 @@ class TestPureKernels:
             folded = sum(cell[0] for cell in pure.order_fold(n).values())
             assert folded == accepted
             assert visited / folded <= 1.5, (n, visited, folded)
+
+    def test_malformed_level_sequences_are_errors(self):
+        # pure only: the compiled kernel reads such input unchecked (ROADMAP D6)
+        for bad, message in [
+            ((1,), "must start with 0"),
+            ((0, -1), "level jump at position 1"),
+            ((0, 0), "level jump at position 1"),
+            ((0, 2), "level jump at position 1"),
+            ((0, 1, 2, 1, 3), "level jump at position 4"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                pure.tree_stats_from_levels(bad)
 
     def test_rejects_bad_order(self, monkeypatch):
         with pytest.raises(ValueError):

@@ -12,10 +12,9 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from sombor_trees import cli
 from sombor_trees._kernels import pure
 from sombor_trees.cli import main
-from sombor_trees.errors import SizeLimitError
+from sombor_trees.errors import SizeLimitError, WorkerError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, canonical_code, format_edge_list
 from sombor_trees.verify import (
@@ -352,9 +351,51 @@ class TestExitCodeContract:
             assert "error" in capsys.readouterr().err, argv
 
     def test_worker_failure_is_an_error(self, monkeypatch, capsys):
-        def broken(*args, **kwargs):
-            raise BrokenProcessPool("a child process terminated abruptly")
-
-        monkeypatch.setattr(cli, "verify", broken)
+        # every worker exits at once, so the pool itself raises BrokenProcessPool
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "_verify_order", os._exit)
+        with pytest.raises(WorkerError) as raised:
+            verify(2, 6, jobs=2)
+        assert isinstance(raised.value.__cause__, BrokenProcessPool)
         assert main(["verify", "--n-max", "6", "--jobs", "2"]) == 2
         assert "error: worker process failed" in capsys.readouterr().err
+
+
+POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+
+
+def _imports(*args):
+    """(exit code, names of the modules imported) of ``python -X importtime
+    args`` in a fresh interpreter with the package's source first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.decode().splitlines()
+        if line.startswith("import time:")
+    }
+    return done.returncode, names
+
+
+class TestPoolImport:
+    def test_only_a_pool_run_imports_the_pool(self):
+        code, names = _imports("-c", "import sombor_trees, sombor_trees.cli")
+        assert code == 0 and "sombor_trees.cli" in names
+        assert not names & POOL_MODULES
+        code, names = _imports("-m", "sombor_trees", "verify", "--n-max", "6")
+        assert code == 0 and "sombor_trees.verify" in names
+        assert not names & POOL_MODULES
+        # the control: a run that starts a pool does import it
+        code, names = _imports(
+            "-m", "sombor_trees", "verify", "--n-max", "6", "--jobs", "2"
+        )
+        assert code == 0 and names >= POOL_MODULES
