@@ -59,7 +59,6 @@ from .tree import (
     format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
-    strip_pendants,
     support_vertex,
     tree_centers,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "shift_neighbors",
     "sombor_index",
     "star_shift_inequality",
-    "strip_pendants",
     "support_vertex",
     "swap_endpoints",
     "theorem_shift_inequality",

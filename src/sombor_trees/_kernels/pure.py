@@ -20,7 +20,9 @@ the greedy matching's counts across trees, and redoes them only from the
 first index the walk changed and on that index's ancestors.  It sums the
 Sombor index in full, in vertex order, and copies a sequence only when it
 sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
-from scratch for one sequence.
+from scratch for one sequence; it decodes the sequence with the one checked
+decoder, ``tree._level_parents``, while ``order_fold`` keeps its own
+incremental decode on the hot path.
 
 The compiled backend mirrors the generator and the stats function for
 function, including the floating-point accumulation order, so both produce
@@ -34,6 +36,8 @@ from __future__ import annotations
 
 import math
 from typing import Iterator, Sequence
+
+from ..tree import _level_parents
 
 BACKEND = "pure"
 
@@ -125,8 +129,10 @@ def _walk(n: int) -> Iterator[tuple[list[int], int]]:
     the check's state across them and redoes it only from the first index the
     last step rewrote: m, the start of the second root subtree; top[i], the
     maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
-    for i >= m.
+    for i >= m.  Raises ValueError for n < 1.
     """
+    if n < 1:
+        raise ValueError("order must be >= 1")
     L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     if n == 1:  # the single vertex: nothing to check and no successor
         yield L, 1
@@ -194,8 +200,6 @@ def _walk(n: int) -> Iterator[tuple[list[int], int]]:
 
 def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """One canonical level sequence per free tree on n vertices."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
     for L, _ in _walk(n):
         yield tuple(L)
 
@@ -216,8 +220,6 @@ def order_fold(n: int) -> dict:
     is the number of vertices matched from below.  The Sombor index is summed
     in full, in vertex order, as the compiled backend sums it.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
     roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
     # the star; the first tree redoes L[1:]
     parent = [0] * n
@@ -290,24 +292,14 @@ def order_fold(n: int) -> dict:
 
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
     """(Sombor index, independence number) of the encoded tree, by the same
-    greedy matching and vertex-order sum as ``order_fold``.  Raises ValueError
-    unless levels is a preorder depth sequence starting at level 0."""
-    n = len(levels)
-    if n < 1:
-        raise ValueError("empty level sequence")
-    if levels[0] != 0:
-        raise ValueError("level sequence must start with 0")
-    parent = [0] * n
-    last_at = [0] * (n + 1)
-    deg = [0] * n
+    greedy matching and vertex-order sum as ``order_fold``.  Decodes through
+    ``tree._level_parents``, so raises its ValueError unless levels is a
+    preorder depth sequence starting at level 0."""
+    parent = _level_parents(levels)
+    n = len(parent)
+    deg = [0] + [1] * (n - 1)
     for i in range(1, n):
-        li = levels[i]
-        if not 1 <= li <= levels[i - 1] + 1:
-            raise ValueError(f"level jump at position {i}")
-        p = parent[i] = last_at[li - 1]
-        last_at[li] = i
-        deg[i] += 1
-        deg[p] += 1
+        deg[parent[i]] += 1
     matched = [False] * n
     nu = 0
     for i in range(n - 1, 0, -1):

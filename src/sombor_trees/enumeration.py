@@ -21,14 +21,12 @@ from .tree import Tree
 DEFAULT_ORDER_CAP = 20
 
 
-def enumerate_free_trees(n: int, cap: int = DEFAULT_ORDER_CAP) -> Iterator[Tree]:
+def enumerate_free_trees(n: int) -> Iterator[Tree]:
     """Yield one tree per isomorphism class of order n, deterministically."""
-    return map(Tree.from_level_sequence, enumerate_family(n, cap=cap))
+    return map(Tree.from_level_sequence, enumerate_family(n))
 
 
-def enumerate_family(
-    n: int, alpha: int | None = None, cap: int = DEFAULT_ORDER_CAP
-) -> Iterator[tuple[int, ...]]:
+def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ...]]:
     """The canonical level sequences of the order-n stream with independence
     number alpha (all of them when alpha is None).
 
@@ -38,8 +36,10 @@ def enumerate_family(
     """
     if n < 1:
         raise OrderRangeError(f"order must be >= 1, got {n}")
-    if n > cap:
-        raise SizeLimitError(f"order {n} exceeds the enumeration cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise SizeLimitError(
+            f"order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}"
+        )
     for levels in _kernels.iter_level_sequences(n):
         if alpha is None or _kernels.tree_stats_from_levels(levels)[1] == alpha:
             yield levels

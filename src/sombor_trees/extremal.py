@@ -10,6 +10,9 @@ Family vocabulary (fixed by the CLI output format):
 * TStar - the T1 member with exactly one pendant per non-hub core vertex;
           this is the unique Sombor maximizer.
 * Other - everything else.
+
+The families are read off the star core: ``star_core`` takes the split of
+``tree.core_split`` and gives the hub and each core vertex's pendants.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import InfeasibleParamsError
-from .tree import Tree
+from .tree import Tree, core_split
 
 
 class TreeClass(Enum):
@@ -87,45 +90,39 @@ def closed_form_max(order: int, alpha: int) -> float:
     )
 
 
-def star_core(t: Tree) -> tuple[int, dict[int, int]] | None:
-    """The star core of a tree of order >= 3: (hub, {core vertex: pendant
-    count}) over the non-pendant vertices, or None when they do not induce a
-    star.
+def star_core(t: Tree) -> tuple[int, dict[int, tuple[int, ...]]] | None:
+    """The star core of a tree of order >= 3: (hub, {core vertex: its
+    pendants}) over the non-pendant vertices, or None when they do not induce
+    a star.
 
-    The hub is the core vertex of largest core degree (its degree minus its
-    pendants).  On a two-vertex core it is the end with more pendants, the
-    smaller id on a tie.
+    The hub is the core vertex of largest core degree.  On a two-vertex core
+    it is the end with more pendants, the smaller id on a tie.
     """
-    deg = t.degrees
-    counts = {
-        w: sum(deg[z] == 1 for z in t.adjacency[w])
-        for w in range(t.order)
-        if deg[w] >= 2
-    }
-    hub = min(counts, key=lambda w: (counts[w] - deg[w], -counts[w], w))
-    if deg[hub] - counts[hub] != len(counts) - 1:
+    split = core_split(t)
+    hub = min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w))
+    if len(split[hub][1]) != len(split) - 1:
         return None
-    return hub, counts
+    return hub, {w: pendants for w, (pendants, _) in split.items()}
 
 
 def classify(t: Tree) -> TreeClass:
     """Structural family test on the star core (see star_core).
 
     A core that is a star with every vertex carrying a pendant is T1 (TStar
-    when the non-hub pendant counts are all exactly one); a bare hub makes it
-    T2, never at alpha = n/2.  Anything with a non-star core is Other.
+    when the non-hub vertices carry exactly one pendant each); a bare hub
+    makes it T2, never at alpha = n/2.  Anything with a non-star core is Other.
     """
     if t.order <= 2:
         return TreeClass.STAR
     core = star_core(t)
     if core is None:
         return TreeClass.OTHER
-    hub, counts = core
-    if len(counts) == 1:
+    hub, pendants = core
+    if len(pendants) == 1:
         return TreeClass.STAR
     # every non-hub core vertex is a core leaf, so it carries a pendant
-    if counts[hub] >= 1:
-        if all(c == 1 for w, c in counts.items() if w != hub):
+    if pendants[hub]:
+        if all(len(p) == 1 for w, p in pendants.items() if w != hub):
             return TreeClass.TSTAR
         return TreeClass.T1
     return TreeClass.T2

@@ -5,7 +5,9 @@ Each operation mirrors one of the local moves used to push an arbitrary tree
 toward the extremal one: re-homing a batch of neighbors from a donor vertex
 to a receiver, swapping the far endpoints of two edges, and the composite
 case moves driven by a maximum-distance pair of support vertices in the
-pendant-stripped core.  Preconditions are verified structurally; the
+pendant-stripped core.  Every move learns which neighbors are pendants and
+which are core from ``tree.core_split``, and every rewiring builds its result
+through ``_rewire``.  Preconditions are verified structurally; the
 SO-increase and alpha-preservation claims are left to the property tests,
 which sweep every applicable tree exhaustively at small orders.
 """
@@ -17,7 +19,8 @@ from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, classify, star_core
-from .tree import Tree, distances_from, strip_pendants, tree_path
+from .tree import Tree, core_split, distances_from, tree_path
+
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -55,10 +58,14 @@ def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
             raise TreeStructureError(
                 f"moving {toward} would detach the donor from the receiver"
             )
-    dropped = {frozenset((donor, w)) for w in moved}
-    edges = [e for e in t.edges() if frozenset(e) not in dropped]
-    edges += ((receiver, w) for w in moved)
-    return Tree.from_edges(t.order, edges)
+    return _rewire(t, [(donor, w) for w in moved], [(receiver, w) for w in moved])
+
+
+def _rewire(t: Tree, dropped: list, added: list) -> Tree:
+    """t with the edges in dropped replaced by those in added, validated."""
+    gone = {frozenset(e) for e in dropped}
+    edges = [e for e in t.edges() if frozenset(e) not in gone]
+    return Tree.from_edges(t.order, edges + added)
 
 
 def swap_endpoints(t: Tree, u: int, x: int, v: int, y: int) -> Tree:
@@ -71,37 +78,35 @@ def swap_endpoints(t: Tree, u: int, x: int, v: int, y: int) -> Tree:
         raise TreeStructureError(f"{u} and {x} are not adjacent")
     if y not in t.adjacency[v]:
         raise TreeStructureError(f"{v} and {y} are not adjacent")
-    dropped = {frozenset((u, x)), frozenset((v, y))}
-    edges = [e for e in t.edges() if frozenset(e) not in dropped]
-    edges.append((u, y))
-    edges.append((v, x))
     try:
-        return Tree.from_edges(t.order, edges)
+        return _rewire(t, [(u, x), (v, y)], [(u, y), (v, x)])
     except TreeStructureError as exc:
         raise TreeStructureError(f"endpoint swap does not preserve tree-ness: {exc}")
 
 
 def select_support_pair(t: Tree) -> tuple[int, int]:
     """Two support vertices of the pendant-stripped core at maximum distance
-    within the core, as original ids; ties broken by the smallest id pair."""
+    within the core; ties broken by the smallest id pair.
+
+    The core is a subtree of t, so distances in t are distances in the core.
+    """
     if t.order < 3:
         raise ValueError("needs a tree of order >= 3")
-    core, old_of = strip_pendants(t)
-    if core.order < 2:
+    split = core_split(t)
+    if len(split) < 2:
         raise PreconditionError(
             "stripped tree is a single vertex; no support pair exists"
         )
-    supports = sorted(
-        {core.adjacency[p][0] for p in range(core.order) if core.degrees[p] == 1}
-    )
+    # a core leaf has one core neighbor: its support in the core
+    supports = sorted({core[0] for _, core in split.values() if len(core) == 1})
     if len(supports) < 2:
         raise PreconditionError(
             "stripped tree has fewer than 2 support vertices"
         )
     _, u, v = min(
-        (-dist[b], old_of[a], old_of[b])
+        (-dist[b], a, b)
         for a in supports
-        for dist in [distances_from(core, a)]
+        for dist in [distances_from(t, a)]
         for b in supports
         if b > a
     )
@@ -120,14 +125,12 @@ def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
     u, v = select_support_pair(t)
     path = tree_path(t, u, v)
     x, y = path[1], path[-2]
-
-    def pendants(w: int) -> tuple[int, ...]:
-        return tuple(z for z in t.adjacency[w] if t.degrees[z] == 1)
+    split = core_split(t)
 
     def heavy(w: int, toward: int) -> tuple[int, ...]:
-        return tuple(z for z in t.adjacency[w] if t.degrees[z] >= 2 and z != toward)
+        return tuple(z for z in split[w][1] if z != toward)
 
-    up, vp = pendants(u), pendants(v)
+    up, vp = split[u][0], split[v][0]
     if up and vp:
         if t.degrees[u] < t.degrees[v]:
             u, v, x, y, vp = v, u, y, x, up
@@ -163,6 +166,14 @@ def apply_lemma1_case(t: Tree) -> Tree:
     return shift_neighbors(t, shift)
 
 
+def _unload_to_hub(t: Tree, keep: int) -> Tree:
+    """Move all but `keep` pendants of the first core leaf that carries more
+    than `keep` onto the hub of the star core."""
+    hub, pendants = star_core(t)
+    leaf = min(w for w, p in pendants.items() if w != hub and len(p) > keep)
+    return shift_neighbors(t, ShiftSpec(leaf, hub, pendants[leaf][keep:]))
+
+
 def apply_lemma2_step(t: Tree) -> Tree:
     """Empty the first loaded core leaf of a T2 tree onto the bare hub.
 
@@ -171,10 +182,7 @@ def apply_lemma2_step(t: Tree) -> Tree:
     label = classify(t)
     if label is not TreeClass.T2:
         raise PreconditionError(f"expected a T2 tree, classify gave {label.value}")
-    hub, counts = star_core(t)
-    leaf = min(w for w in counts if w != hub)
-    moved = tuple(z for z in t.adjacency[leaf] if t.degrees[z] == 1)
-    return shift_neighbors(t, ShiftSpec(leaf, hub, moved))
+    return _unload_to_hub(t, 0)
 
 
 def apply_theorem_step(t: Tree) -> Optional[Tree]:
@@ -187,8 +195,5 @@ def apply_theorem_step(t: Tree) -> Optional[Tree]:
         return None
     if label is not TreeClass.T1:
         raise PreconditionError(f"expected a T1 tree, classify gave {label.value}")
-    hub, counts = star_core(t)
-    loaded = [w for w, c in counts.items() if w != hub and c >= 2]
-    donor = min(loaded)  # nonempty: the tree is T1 but not TStar
-    pendants = sorted(z for z in t.adjacency[donor] if t.degrees[z] == 1)
-    return shift_neighbors(t, ShiftSpec(donor, hub, tuple(pendants[1:])))
+    # a core leaf carries >= 2 pendants: the tree is T1 but not TStar
+    return _unload_to_hub(t, 1)

@@ -20,7 +20,9 @@ def _level_parents(levels: Sequence[int]) -> list[int]:
     """Parent of each vertex of a preorder depth sequence starting at level 0;
     the root's entry is -1.  Every parent precedes its children."""
     n = len(levels)
-    if n < 1 or levels[0] != 0:
+    if n < 1:
+        raise ValueError("empty level sequence")
+    if levels[0] != 0:
         raise ValueError("level sequence must start with 0")
     parents = [-1] * n
     last_at = [0] * (n + 1)
@@ -200,19 +202,19 @@ def distance(t: Tree, u: int, v: int) -> int:
     return dist[v]
 
 
-def strip_pendants(t: Tree) -> tuple[Tree, tuple[int, ...]]:
-    """Induced subtree on the non-pendant vertices, re-indexed.
-
-    Returns (stripped, old_of) where old_of[new_id] is the original id.
-    """
-    if t.order < 3:
-        raise ValueError("stripping a tree of order <= 2 leaves nothing")
-    keep = [v for v in range(t.order) if t.degrees[v] >= 2]
-    new_of = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (new_of[u], new_of[v]) for u, v in t.edges() if u in new_of and v in new_of
-    ]
-    return Tree.from_edges(len(keep), edges), tuple(keep)
+def core_split(t: Tree) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """{w: (pendants, core neighbors)} for every core vertex w, the vertices of
+    degree >= 2; both tuples in increasing order.  The core is the subtree
+    left by stripping the pendants; it is empty at order <= 2."""
+    deg = t.degrees
+    return {
+        w: (
+            tuple(z for z in t.adjacency[w] if deg[z] == 1),
+            tuple(z for z in t.adjacency[w] if deg[z] >= 2),
+        )
+        for w in range(t.order)
+        if deg[w] >= 2
+    }
 
 
 def tree_centers(t: Tree) -> list[int]:
@@ -227,14 +229,13 @@ def tree_centers(t: Tree) -> list[int]:
     return [mid] if d % 2 == 0 else sorted((mid, parent[mid]))
 
 
-def preorder_levels(t: Tree, root: int = 0) -> list[int]:
-    """Depth of each vertex in a preorder walk from root, in walk order.
+def preorder_levels(t: Tree) -> list[int]:
+    """Depth of each vertex in a preorder walk from vertex 0, in walk order.
 
-    The result is a valid level sequence of t rooted there, though not always
+    The result is a valid level sequence of t rooted at 0, though not always
     the canonical one.
     """
-    t._check_vertex(root)
-    order, _, depth = _walk(t.adjacency, root)
+    order, _, depth = _walk(t.adjacency, 0)
     return [depth[v] for v in order]
 
 

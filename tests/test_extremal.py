@@ -177,6 +177,12 @@ class TestClassify:
                         canonical_code(t) == star_code
                     )
 
+    @pytest.mark.parametrize("order", [3, 6, 9])
+    def test_t1_needs_a_core_edge(self, order):
+        # at alpha = n-1 the core is the hub alone: the star, not a T1 tree
+        with pytest.raises(InfeasibleParamsError, match="order - alpha >= 2, got 1"):
+            list(t1_members(order, order - 1))
+
     def test_t2_trees_have_alpha_above_half_n(self):
         # a bare hub on a star core of s vertices has a pendant on each of the
         # other s - 1, so n >= 2s - 1 and alpha = n - s + 1 > n/2: classify
@@ -237,6 +243,12 @@ class TestScalarLemmas:
     def test_g_asymptote_and_positivity(self):
         assert lemma2_g(1e6, 4, 1) < 1e-3
         assert lemma2_g(1e6, 4, 1) > 0
+
+    @pytest.mark.parametrize("c, d", [(0, 1), (1, 0), (-2, 3), (3, -1)])
+    def test_lemmas_require_positive_c_and_d(self, c, d):
+        for f in (lemma1_f, lemma2_g):
+            with pytest.raises(ValueError, match="c and d must be positive integers"):
+                f(1.0, c, d)
 
     def test_g_requires_c_greater_than_d(self):
         with pytest.raises(ValueError, match="c > d"):

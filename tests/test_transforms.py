@@ -21,7 +21,7 @@ from sombor_trees.transforms import (
     shift_neighbors,
     swap_endpoints,
 )
-from sombor_trees.tree import Tree, canonical_code, distance, strip_pendants
+from sombor_trees.tree import Tree, canonical_code, distance
 
 from conftest import query_sweep, trees_of_order
 
@@ -121,6 +121,14 @@ class TestShiftNeighbors:
         with pytest.raises(TreeStructureError, match="receiver"):
             shift_neighbors(Tree.path(4), ShiftSpec(1, 2, (2,)))
 
+    def test_rejects_donor_as_receiver(self):
+        with pytest.raises(TreeStructureError, match="donor and receiver must be distinct"):
+            shift_neighbors(Tree.star(4), ShiftSpec(0, 0, (1,)))
+
+    def test_rejects_repeated_moved_vertex(self):
+        with pytest.raises(TreeStructureError, match="moved vertices must be distinct"):
+            shift_neighbors(spider_222(), ShiftSpec(0, 1, (2, 2)))
+
 
 class TestSwapEndpoints:
     def test_path_swap_keeps_degrees(self):
@@ -138,6 +146,10 @@ class TestSwapEndpoints:
         with pytest.raises(TreeStructureError, match="not adjacent"):
             swap_endpoints(Tree.path(6), 0, 2, 4, 3)
 
+    def test_rejects_absent_second_edge(self):
+        with pytest.raises(TreeStructureError, match="5 and 3 are not adjacent"):
+            swap_endpoints(Tree.path(6), 1, 2, 5, 3)
+
     def test_rejects_disconnecting_swap(self):
         # swapping within one branch cuts the other off
         t = Tree.path(6)
@@ -150,6 +162,11 @@ class TestSwapEndpoints:
 
 
 class TestSelectSupportPair:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rejects_order_below_3(self, order):
+        with pytest.raises(ValueError, match="needs a tree of order >= 3"):
+            select_support_pair(Tree.path(order))
+
     def test_double_star_centers(self):
         assert select_support_pair(double_star()) == (0, 1)
 
@@ -166,11 +183,18 @@ class TestSelectSupportPair:
         assert select_support_pair(t) == (1, 3)
 
     def test_matches_the_pairwise_reference(self):
-        # reference: one distance query per pair of support vertices
+        # reference: the stripped core built on its own, and one distance
+        # query in it per pair of its support vertices
         for t in query_sweep():
             if t.order < 3:
                 continue
-            core, old_of = strip_pendants(t)
+            old_of = [w for w in range(t.order) if t.degrees[w] >= 2]
+            new_of = {w: i for i, w in enumerate(old_of)}
+            core = Tree.from_edges(
+                len(old_of),
+                [(new_of[u], new_of[v]) for u, v in t.edges()
+                 if u in new_of and v in new_of],
+            )
             supports = sorted(
                 {core.adjacency[p][0] for p in range(core.order)
                  if core.degrees[p] == 1}

@@ -12,13 +12,13 @@ from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import (
     Tree,
     canonical_code,
+    core_split,
     distance,
     distances_from,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
-    strip_pendants,
     support_vertex,
     tree_centers,
     tree_path,
@@ -62,6 +62,21 @@ class TestConstruction:
         # right edge count, but a triangle plus an isolated vertex
         with pytest.raises(TreeStructureError, match="disconnected"):
             Tree.from_edges(4, [(0, 1), (1, 2), (2, 0)])
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(TreeStructureError, match="order must be positive, got 0"):
+            Tree.from_edges(0, [])
+
+    def test_rejects_out_of_range_edge(self):
+        with pytest.raises(TreeStructureError, match=r"edge \(0, 3\) out of range"):
+            Tree.from_edges(3, [(0, 1), (0, 3)])
+
+    def test_equal_trees_hash_equal(self):
+        a = Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        b = Tree.from_edges(4, [(3, 2), (2, 1), (1, 0)])
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, Tree.path(4)}) == 1
 
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(TreeStructureError, match="needs"):
@@ -198,26 +213,39 @@ class TestWalkQueries:
 
 
 class TestStripPendants:
+    """The pendant-stripped core as core_split reads it: each vertex of degree
+    >= 2 with its pendants and its core neighbors."""
+
     def test_path4_strips_to_path2(self):
-        core, old_of = strip_pendants(Tree.path(4))
-        assert core.order == 2
-        assert old_of == (1, 2)
+        assert core_split(Tree.path(4)) == {1: ((0,), (2,)), 2: ((3,), (1,))}
 
     def test_star_strips_to_center(self):
-        core, old_of = strip_pendants(Tree.star(5))
-        assert core.order == 1
-        assert old_of == (0,)
+        assert core_split(Tree.star(5)) == {0: ((1, 2, 3, 4), ())}
 
     def test_t_star_strips_to_star(self):
+        # T* numbers the hub 0, core leaves 1..s-1, their pendants s..2s-2
+        # and the hub's pendants last: the core is a star on s = n - alpha
         for n in range(4, 13):
             for alpha in range((n + 1) // 2, n - 1):
-                if n - alpha >= 2:
-                    core, _ = strip_pendants(construct_t_star(n, alpha))
-                    assert canonical_code(core) == canonical_code(Tree.star(n - alpha))
+                s = n - alpha
+                expected = {0: (tuple(range(2 * s - 1, n)), tuple(range(1, s)))}
+                expected.update({i: ((s - 1 + i,), (0,)) for i in range(1, s)})
+                assert core_split(construct_t_star(n, alpha)) == expected
 
     def test_too_small_to_strip(self):
-        with pytest.raises(ValueError):
-            strip_pendants(Tree.path(2))
+        assert core_split(Tree.from_edges(1, [])) == {}
+        assert core_split(Tree.path(2)) == {}
+
+    def test_split_partitions_the_neighbors(self):
+        for t in query_sweep():
+            split = core_split(t)
+            assert sorted(split) == [w for w in range(t.order) if t.degrees[w] >= 2]
+            for w, (pendants, core) in split.items():
+                assert list(pendants) == sorted(pendants)
+                assert list(core) == sorted(core)
+                assert sorted(pendants + core) == list(t.adjacency[w])
+                assert all(t.degrees[z] == 1 for z in pendants)
+                assert all(z in split and w in split[z][1] for z in core)
 
 
 class TestCanonicalCode:
@@ -315,6 +343,26 @@ class TestEdgeListFormat:
     def test_out_of_range_vertex(self):
         with pytest.raises(EdgeListParseError, match="line 2"):
             parse_edge_list("3\n0 7\n1 2\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", 1, "expected the vertex count"),
+            ("0\n", 1, "vertex count must be positive, got 0"),
+            ("-2\n", 1, "vertex count must be positive, got -2"),
+            ("3\n0 1 2\n1 2\n", 2, "expected 'u v'"),
+            ("3\n0 1\n1\n", 3, "expected 'u v'"),
+            ("3\n0 1\n1 y\n", 3, "vertex ids must be integers"),
+            ("3\n0 1\n1 0\n", 3, "duplicate edge 1 0"),
+            ("3\n0 1\n1 2\n\n0 2\n", 5, "unexpected content after 2 edges"),
+        ],
+        ids=["empty", "zero", "negative", "three-fields", "one-field",
+             "non-integer", "duplicate", "trailing"],
+    )
+    def test_rejections_report_their_line(self, text, line, message):
+        with pytest.raises(EdgeListParseError, match=f"line {line}: {message}") as info:
+            parse_edge_list(text)
+        assert info.value.line == line
 
     def test_cycle_is_a_structural_error(self):
         with pytest.raises(TreeStructureError):

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -14,6 +15,7 @@ import pytest
 
 from sombor_trees._kernels import pure
 from sombor_trees.cli import main
+from sombor_trees.enumeration import random_tree
 from sombor_trees.errors import SizeLimitError, WorkerError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, canonical_code, format_edge_list
@@ -168,6 +170,37 @@ class TestCliCompute:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["compute", "--input", str(tmp_path / "nope.txt")]) == 2
 
+    def test_mutated_inputs_exit_0_or_2(self, tmp_path, capsys):
+        # seeded fuzz: valid edge lists with a few byte edits each; every run
+        # succeeds or is an input error with exactly one diagnostic line
+        rng = random.Random(1414)
+        alphabet = b"0123456789 \n\t-+x\xff"
+        path = tmp_path / "fuzz.txt"
+        for case in range(3000):
+            t = random_tree(rng.randrange(1, 13), rng)
+            data = bytearray(format_edge_list(t), "ascii")
+            for _ in range(rng.randrange(1, 4)):
+                i = rng.randrange(len(data) + 1)
+                edit = rng.randrange(4)
+                if edit == 0 and i < len(data):
+                    del data[i]
+                elif edit == 1:
+                    data.insert(i, rng.choice(alphabet))
+                elif edit == 2 and i < len(data):
+                    data[i] = rng.choice(alphabet)
+                else:  # repeat a line
+                    lines = data.split(b"\n")
+                    lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+                    data = bytearray(b"\n".join(lines))
+            path.write_bytes(bytes(data))
+            code = main(["compute", "--input", str(path)])
+            captured = capsys.readouterr()
+            assert code in (0, 2), (case, bytes(data))
+            if code == 2:
+                assert not captured.out, (case, bytes(data))
+                assert len(captured.err.splitlines()) == 1, (case, bytes(data))
+                assert captured.err.startswith("error: "), (case, bytes(data))
+
 
 class TestCliConstruct:
     def test_star_file_bytes(self, tmp_path):
@@ -308,6 +341,7 @@ USAGE_ERRORS = {
         ["verify", "--n-max", "five"],
         ["verify", "--n-max", "3", "--jobs", "0"],
         ["verify", "--n-max", "3", "--jobs", "-1"],
+        ["verify", "--n-max", "3", "--jobs", "x"],
         # orders beyond a C int fail before any kernel call or allocation
         ["verify", "--n-max", "2147483648", "--cap", "2147483648"],
         ["verify", "--n-max", str(10**20), "--cap", str(10**20)],
