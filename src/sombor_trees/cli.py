@@ -38,16 +38,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# Characters gathered per stdout write: under PYTHONUNBUFFERED every
+# write is its own syscall, so a stream of short records writes in batches.
+_WRITE_BATCH = 1 << 16
+
+
 def _write_stdout(chunks, sep: str = "") -> int:
-    """Every subcommand's stdout: write chunks, sep between them, and flush;
-    return how many chunks there were.  A reader that closes the pipe early
-    is no error: the first failed write ends the output, and stdout is pointed
-    at devnull so the flush at interpreter exit raises nothing."""
+    """Every subcommand's stdout: write chunks, sep between them, in batches
+    of about _WRITE_BATCH characters, and flush; return how many chunks there
+    were.  A reader that closes the pipe early is no error: the first failed
+    write ends the output, and stdout is pointed at devnull so the flush at
+    interpreter exit raises nothing."""
     write = sys.stdout.write
     count = 0
+    batch = []
+    size = 0
+    lead = ""  # sep before every batch but the first
     try:
         for count, chunk in enumerate(chunks, 1):
-            write(chunk if count == 1 else sep + chunk)
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _WRITE_BATCH:
+                write(lead + sep.join(batch))
+                batch, size, lead = [], 0, sep
+        if batch:
+            write(lead + sep.join(batch))
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)

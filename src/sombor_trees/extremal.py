@@ -98,6 +98,8 @@ def star_core(t: Tree) -> tuple[int, dict[int, tuple[int, ...]]] | None:
     The hub is the core vertex of largest core degree.  On a two-vertex core
     it is the end with more pendants, the smaller id on a tie.
     """
+    if t.order < 3:
+        raise ValueError("needs a tree of order >= 3")
     split = core_split(t)
     hub = min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w))
     if len(split[hub][1]) != len(split) - 1:

@@ -320,16 +320,30 @@ def format_edge_list(t: Tree) -> str:
     return "\n".join(out) + "\n"
 
 
+# Numeral tables of format_levels_edge_list: ("i " for each i, "i\n" for
+# each i), up to the largest order printed so far.  A grown pair replaces the
+# old one whole, so a reader never sees a half-grown table.
+_numeral_tables: tuple[list[str], list[str]] = ([], [])
+
+
+def _numerals(n: int) -> tuple[list[str], list[str]]:
+    """The numeral tables, grown (at least doubled) to cover 0..n."""
+    global _numeral_tables
+    if len(_numeral_tables[1]) <= n:
+        grown = range(max(n + 1, 2 * len(_numeral_tables[1])))
+        _numeral_tables = [f"{i} " for i in grown], [f"{i}\n" for i in grown]
+    return _numeral_tables
+
+
 def format_levels_edge_list(levels: Sequence[int]) -> str:
     """``format_edge_list(Tree.from_level_sequence(levels))``, without the Tree.
 
     Every parent precedes its children, so the edges (parent[v], v) ordered
     by parent, children in increasing order, are exactly ``Tree.edges()``.
+    The lines are joined from the numeral tables, not formatted per record.
     """
     parents = _level_parents(levels)
     n = len(parents)
+    sp, nl = _numerals(n)
     children = sorted(range(1, n), key=parents.__getitem__)
-    fields = [n] * (2 * n - 1)
-    fields[1::2] = [parents[v] for v in children]
-    fields[2::2] = children
-    return ("%d\n" + "%d %d\n" * (n - 1)) % tuple(fields)
+    return nl[n] + "".join([sp[parents[v]] + nl[v] for v in children])

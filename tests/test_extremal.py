@@ -16,6 +16,7 @@ from sombor_trees.extremal import (
     feasible_alpha_range,
     lemma1_f,
     lemma2_g,
+    star_core,
     star_shift_inequality,
     t1_members,
     t2_members,
@@ -144,6 +145,12 @@ class TestClassify:
     def test_stars(self):
         for n in (2, 3, 5, 9):
             assert classify(Tree.star(n)) is TreeClass.STAR
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_star_core_rejects_order_below_3(self, order):
+        with pytest.raises(ValueError, match="needs a tree of order >= 3"):
+            star_core(Tree.path(order))
+        assert classify(Tree.path(order)) is TreeClass.STAR
 
     def test_path_6_is_other(self):
         assert classify(Tree.path(6)) is TreeClass.OTHER

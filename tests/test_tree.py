@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sombor_trees import tree as tree_module
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import prufer_to_tree, random_tree
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
@@ -19,6 +20,7 @@ from sombor_trees.tree import (
     format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
+    preorder_levels,
     support_vertex,
     tree_centers,
     tree_path,
@@ -319,6 +321,18 @@ class TestEdgeListFormat:
                 ), levels
         assert format_levels_edge_list((0,)) == "1\n"
         assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
+
+    def test_levels_rendering_beyond_the_stream_orders(self, monkeypatch):
+        # from empty numeral tables: orders that grow them, then smaller ones
+        monkeypatch.setattr(tree_module, "_numeral_tables", ([], []))
+        rng = random.Random(15)
+        orders = [*range(15, 301, 19), *range(300, 14, -23)]
+        for n in orders:
+            levels = preorder_levels(random_tree(n, rng))
+            assert format_levels_edge_list(levels) == format_edge_list(
+                Tree.from_level_sequence(levels)
+            ), n
+        assert len(tree_module._numeral_tables[1]) > max(orders)
 
     @pytest.mark.parametrize("levels", [(), (1, 0), (0, 2)])
     def test_bad_level_sequence_rejected(self, levels):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from sombor_trees._kernels import pure
+from sombor_trees import cli
 from sombor_trees.cli import main
 from sombor_trees.enumeration import random_tree
 from sombor_trees.errors import SizeLimitError, WorkerError
@@ -28,6 +30,8 @@ from sombor_trees.verify import (
 )
 
 from conftest import ROOT, bind_backend
+
+B = cli._WRITE_BATCH  # characters per batched stdout write
 
 
 def _record(order, alpha):
@@ -239,6 +243,31 @@ class TestCliEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "family empty" in captured.err
+
+    @pytest.mark.parametrize("sep", ["", "\n"], ids=["no-sep", "newline"])
+    @pytest.mark.parametrize(
+        "chunks, writes",
+        [
+            pytest.param(["3\n0 1\n", "", "2\n0 1\n"], 1, id="never-fills"),
+            pytest.param(["x" * (B - 1), "y", "z" * 5, "w"], 2, id="fills-mid-stream"),
+            pytest.param(["x" * (B // 2), "y" * (B - B // 2)], 1, id="fills-at-last-chunk"),
+            pytest.param([chr(97 + i) * (B // 3 + i) for i in range(16)], 6, id="several-batches"),
+            pytest.param([], 0, id="empty"),
+        ],
+    )
+    def test_batched_writes_keep_the_bytes(self, monkeypatch, chunks, writes, sep):
+        calls = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                calls.append(len(text))
+                return super().write(text)
+
+        out = Stdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli._write_stdout(iter(chunks), sep=sep) == len(chunks)
+        assert out.getvalue() == sep.join(chunks)
+        assert len(calls) == writes
 
     def test_cap_is_a_usage_error(self, capsys):
         assert main(["enumerate", "--n", "21"]) == 2
