@@ -51,9 +51,8 @@ from .transforms import (
     swap_endpoints,
 )
 from .tree import (
-    CanonicalCode,
     Tree,
-    canonical_code,
+    canonical_levels,
     distance,
     format_edge_list,
     format_levels_edge_list,
@@ -67,7 +66,6 @@ from .verify import ExtremalRecord, VerificationReport, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalCode",
     "EdgeListParseError",
     "ExtremalParams",
     "ExtremalRecord",
@@ -86,7 +84,7 @@ __all__ = [
     "apply_lemma1_case",
     "apply_lemma2_step",
     "apply_theorem_step",
-    "canonical_code",
+    "canonical_levels",
     "classify",
     "closed_form_max",
     "construct_t_star",

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from ..tree import _level_parents
+from ..tree import _free_check, _level_parents
 
 BACKEND = "pure"
 
@@ -53,45 +53,6 @@ def iter_rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _free_check(L: Sequence[int]) -> tuple[bool, int]:
-    """Is this rooted sequence the canonical representative of its free tree?
-
-    Returns (valid, m) where m is the index where the second root subtree
-    starts (len(L) if the root has a single subtree).  Valid means the first
-    subtree is no taller than the rest of the tree, with size-then-lex
-    tie-breaks so exactly one rooting survives per isomorphism class.
-    """
-    n = len(L)
-    m = n
-    for i in range(2, n):
-        if L[i] == 1:
-            m = i
-            break
-    h_left = 0
-    for i in range(1, m):
-        v = L[i] - 1
-        if v > h_left:
-            h_left = v
-    h_rest = 0
-    for i in range(m, n):
-        if L[i] > h_rest:
-            h_rest = L[i]
-    if h_rest > h_left:
-        return True, m
-    if h_rest < h_left:
-        return False, m
-    len_left = m - 1
-    len_rest = n - m + 1
-    if len_left > len_rest:
-        return False, m
-    if len_left < len_rest:
-        return True, m
-    for i in range(1, len_left):
-        a = L[1 + i] - 1
-        b = L[m + i - 1]
-        if a != b:
-            return a < b, m
-    return True, m
 
 
 def _successor(L: list[int], p: int | None) -> int:

@@ -14,12 +14,12 @@ import os
 import sys
 from pathlib import Path
 
+from . import _kernels
 from .enumeration import enumerate_family
 from .errors import SomborTreesError
 from .extremal import classify, construct_t_star
-from .invariants import independence_number, sombor_index
 from .tree import (
-    canonical_code,
+    canonical_levels,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
@@ -121,11 +121,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compute(args) -> int:
     t = parse_edge_list(args.input.read_text(encoding="utf-8"))
-    so = sombor_index(t)
-    alpha = independence_number(t)
+    levels = canonical_levels(t)
+    so, alpha = _kernels.tree_stats_from_levels(levels)
     label = classify(t)
     _write_stdout([f"SO={so:.9f} alpha={alpha} class={label.value}\n"
-                   f"code={canonical_code(t)}\n"])
+                   f"levels={','.join(map(str, levels))}\n"])
     return 0
 
 

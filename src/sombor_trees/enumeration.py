@@ -3,9 +3,9 @@
 The stream comes from the level-sequence kernels: exactly one representative
 per isomorphism class, in a deterministic order (decreasing lexicographic on
 the canonical level sequence).  The Prüfer helpers exist as the independent
-reference route: decoding every sequence and deduplicating by canonical code
-must reproduce the stream, and uniform random Prüfer sequences drive the
-property tests.
+reference route: decoding every sequence and deduplicating by
+``tree.canonical_levels`` must reproduce the stream's sequences, and uniform
+random Prüfer sequences drive the property tests.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Degree- and independence-based tree invariants.
 
-The independence number has two routes on purpose: the kernel, run on a
-preorder level sequence of the tree (pure: n minus a greedy maximum matching,
+The independence number has two routes on purpose: the kernel, run on the
+tree's canonical level sequence (pure: n minus a greedy maximum matching,
 by König's theorem; compiled: the rooted incl/excl DP), and a subset-sweep
 oracle kept as its independent check in the tests.  ``sombor_index`` sums the
 paper's edge formula directly and is the per-tree reference for the kernel's
@@ -14,7 +14,7 @@ import math
 
 from . import _kernels
 from .errors import SizeLimitError
-from .tree import Tree, distances_from, preorder_levels
+from .tree import Tree, canonical_levels, distances_from
 
 INDEPENDENCE_ORACLE_MAX = 24
 
@@ -34,7 +34,7 @@ def sombor_index(t: Tree) -> float:
 
 def independence_number(t: Tree) -> int:
     """Size of a maximum independent set, by the kernel's stats."""
-    return _kernels.tree_stats_from_levels(preorder_levels(t))[1]
+    return _kernels.tree_stats_from_levels(canonical_levels(t))[1]
 
 
 def independence_number_oracle(t: Tree) -> int:

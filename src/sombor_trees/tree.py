@@ -1,9 +1,9 @@
 """Immutable trees on integer vertices: structural queries, edge-list I/O,
-and a canonical form for isomorphism testing.
+and the canonical level sequence that names a tree's isomorphism class.
 
-Vertices are always 0..order-1.  The canonical form is the AHU encoding
-rooted at the tree center; two trees get the same code exactly when they are
-isomorphic, so the code doubles as a dedup key.
+Vertices are always 0..order-1.  ``canonical_levels`` gives the sequence the
+free-tree stream yields for the tree's class, so two trees get the same
+sequence exactly when they are isomorphic, and it doubles as a dedup key.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, TreeStructureError
-
-# Isomorphism key: a balanced-parenthesis string under lexicographic order.
-CanonicalCode = str
 
 
 def _level_parents(levels: Sequence[int]) -> list[int]:
@@ -33,6 +30,47 @@ def _level_parents(levels: Sequence[int]) -> list[int]:
         parents[i] = last_at[li - 1]
         last_at[li] = i
     return parents
+
+
+def _free_check(L: Sequence[int]) -> tuple[bool, int]:
+    """Is this rooted sequence the canonical representative of its free tree?
+
+    Returns (valid, m) where m is the index where the second root subtree
+    starts (len(L) if the root has a single subtree).  Valid means the first
+    subtree is no taller than the rest of the tree, with size-then-lex
+    tie-breaks so exactly one rooting survives per isomorphism class.
+    """
+    n = len(L)
+    m = n
+    for i in range(2, n):
+        if L[i] == 1:
+            m = i
+            break
+    h_left = 0
+    for i in range(1, m):
+        v = L[i] - 1
+        if v > h_left:
+            h_left = v
+    h_rest = 0
+    for i in range(m, n):
+        if L[i] > h_rest:
+            h_rest = L[i]
+    if h_rest > h_left:
+        return True, m
+    if h_rest < h_left:
+        return False, m
+    len_left = m - 1
+    len_rest = n - m + 1
+    if len_left > len_rest:
+        return False, m
+    if len_left < len_rest:
+        return True, m
+    for i in range(1, len_left):
+        a = L[1 + i] - 1
+        b = L[m + i - 1]
+        if a != b:
+            return a < b, m
+    return True, m
 
 
 def _walk(
@@ -229,28 +267,26 @@ def tree_centers(t: Tree) -> list[int]:
     return [mid] if d % 2 == 0 else sorted((mid, parent[mid]))
 
 
-def preorder_levels(t: Tree) -> list[int]:
-    """Depth of each vertex in a preorder walk from vertex 0, in walk order.
-
-    The result is a valid level sequence of t rooted at 0, though not always
-    the canonical one.
-    """
-    order, _, depth = _walk(t.adjacency, 0)
-    return [depth[v] for v in order]
-
-
-def _rooted_code(t: Tree, root: int) -> str:
-    """AHU encoding of t rooted at root: children codes sorted and bracketed."""
-    order, parent, _ = _walk(t.adjacency, root)
-    child_codes: list[list[str]] = [[] for _ in order]
-    for v in order[:0:-1]:  # children before parents, root left out
-        child_codes[parent[v]].append("(" + "".join(sorted(child_codes[v])) + ")")
-    return "(" + "".join(sorted(child_codes[root])) + ")"
-
-
-def canonical_code(t: Tree) -> CanonicalCode:
-    """Isomorphism-complete code: AHU at the center, minimum over a 2-center tie."""
-    return min(_rooted_code(t, c) for c in tree_centers(t))
+def canonical_levels(t: Tree) -> tuple[int, ...]:
+    """The canonical level sequence of t's class, the one the free-tree stream
+    yields.  It is rooted at the center; of two centers, at the first if
+    ``_free_check`` accepts that rooting and at the other if not.  Bottom up,
+    each vertex's list is its depth followed by its children's lists in
+    decreasing order; siblings share a depth, so they compare unshifted."""
+    centers = tree_centers(t)
+    for root in centers:
+        order, parent, depth = _walk(t.adjacency, root)
+        kids: list[list[list[int]]] = [[] for _ in order]
+        for v in reversed(order):  # children before parents
+            seq = [depth[v]]
+            if kids[v]:
+                kids[v].sort(reverse=True)
+                for s in kids[v]:
+                    seq += s
+            if v != root:
+                kids[parent[v]].append(seq)
+        if root == centers[-1] or _free_check(seq)[0]:
+            return tuple(seq)
 
 
 def parse_edge_list(text: str) -> Tree:

@@ -146,8 +146,9 @@ def _centers_of_adjacency(adj):
 class IsoClassInterner:
     """Maps trees to small integers, equal exactly for isomorphic trees.
 
-    Independent of the production canonical code: integer-interned AHU over
-    raw adjacency lists, rooted at the 1- or 2-vertex center.
+    Independent of the production identity, ``tree.canonical_levels``:
+    integer-interned AHU codes over raw adjacency lists, rooted at the 1- or
+    2-vertex center.
     """
 
     def __init__(self):
@@ -269,8 +270,9 @@ def labeled_tree_total(trees):
 
 def grow_by_leaf(trees):
     """Every order n+1 tree arises from an order-n tree plus one leaf; dedupe
-    by the production canonical code.  Structural-induction cross-check."""
-    from sombor_trees.tree import canonical_code
+    by ``canonical_levels``, the returned dict's keys.  Structural-induction
+    cross-check."""
+    from sombor_trees.tree import canonical_levels
 
     seen = {}
     for t in trees:
@@ -278,7 +280,7 @@ def grow_by_leaf(trees):
         for v in range(n):
             edges = list(t.edges()) + [(v, n)]
             grown = Tree.from_edges(n + 1, edges)
-            code = canonical_code(grown)
-            if code not in seen:
-                seen[code] = grown
+            levels = canonical_levels(grown)
+            if levels not in seen:
+                seen[levels] = grown
     return seen

@@ -17,6 +17,7 @@ from sombor_trees.extremal import (
     lemma1_f,
     lemma2_g,
     star_shift_inequality,
+    t_star_levels,
     theorem_shift_inequality,
 )
 from sombor_trees.invariants import (
@@ -30,7 +31,8 @@ from sombor_trees.transforms import (
     apply_lemma2_step,
     apply_theorem_step,
 )
-from sombor_trees.tree import Tree, canonical_code, pendant_vertices
+from sombor_trees._kernels import pure
+from sombor_trees.tree import Tree, canonical_levels, pendant_vertices
 from sombor_trees.verify import verify
 
 from conftest import (
@@ -57,9 +59,9 @@ def test_criterion_1_theorem_exhaustive_verification():
     for rec in report.records:
         ok &= abs(rec.closed_form - rec.brute_force_max) <= FORMULA_TOL
         ok &= rec.maximizer_count == 1
-        ok &= canonical_code(
-            Tree.from_level_sequence(rec.maximizer_levels)
-        ) == canonical_code(construct_t_star(rec.order, rec.alpha))
+        ok &= rec.maximizer_levels == canonical_levels(
+            construct_t_star(rec.order, rec.alpha)
+        )
     runtime_ok = base_elapsed < 10.0
     start = time.perf_counter()
     extended = verify(13, 16)
@@ -178,7 +180,7 @@ def test_criterion_5_transformation_suite():
                     and classify(out) in (TreeClass.T1, TreeClass.TSTAR)
                 )
             if label in (TreeClass.T1, TreeClass.TSTAR):
-                target = canonical_code(construct_t_star(n, alpha))
+                target = t_star_levels(n, alpha)
                 cur = t
                 steps = 0
                 good = True
@@ -190,7 +192,7 @@ def test_criterion_5_transformation_suite():
                     if steps > n:
                         good = False
                         break
-                good &= canonical_code(cur) == target
+                good &= canonical_levels(cur) == target
                 moves += 1
                 failures += not good
     _report(5, failures == 0, f"{moves} applicable transforms over all trees n<=11")
@@ -212,9 +214,10 @@ def test_criterion_6_enumeration_correctness():
     # n=9: exact orbit-size identity against the labeled universe; together
     # with pairwise-distinct codes this is the full dedupe statement without
     # materializing all 9^7 sequences
-    codes9 = {canonical_code(t) for t in trees_of_order(9)}
+    codes9 = {canonical_levels(t) for t in trees_of_order(9)}
     identity_ok = (
         len(codes9) == len(trees_of_order(9))
+        and codes9 == set(pure.iter_level_sequences(9))
         and labeled_tree_total(trees_of_order(9)) == 9**7
     )
     ok = counts_ok and explicit_ok and identity_ok

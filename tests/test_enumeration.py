@@ -14,7 +14,7 @@ from sombor_trees.enumeration import (
 )
 from sombor_trees.errors import OrderRangeError, SizeLimitError
 from sombor_trees.invariants import independence_number, independence_number_oracle
-from sombor_trees.tree import Tree, canonical_code
+from sombor_trees.tree import Tree, canonical_levels
 
 from conftest import (
     filtered_rooted_stream,
@@ -39,8 +39,8 @@ class TestCounts:
             assert sum(1 for _ in pure.iter_rooted_level_sequences(n)) == expected
 
     def test_order_4_is_path_and_star(self):
-        codes = {canonical_code(t) for t in trees_of_order(4)}
-        assert codes == {canonical_code(Tree.path(4)), canonical_code(Tree.star(4))}
+        codes = {canonical_levels(t) for t in trees_of_order(4)}
+        assert codes == {canonical_levels(Tree.path(4)), canonical_levels(Tree.star(4))}
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
@@ -54,7 +54,7 @@ class TestCounts:
 class TestIsomorphismExactness:
     def test_codes_pairwise_distinct(self):
         for n in range(1, 12):
-            codes = [canonical_code(t) for t in trees_of_order(n)]
+            codes = [canonical_levels(t) for t in trees_of_order(n)]
             assert len(codes) == len(set(codes))
 
     def test_prufer_reference_agreement_to_7(self):
@@ -71,7 +71,7 @@ class TestIsomorphismExactness:
         for n in (10, 11, 12):
             grown = grow_by_leaf(trees_of_order(n - 1))
             assert len(grown) == FREE_TREE_COUNTS[n - 1]
-            assert set(grown) == {canonical_code(t) for t in trees_of_order(n)}
+            assert set(grown) == set(pure.iter_level_sequences(n))
 
     def test_walk_equals_the_filtered_rooted_stream(self):
         # the walk skips blocks of the rooted stream that the free check
@@ -82,9 +82,9 @@ class TestIsomorphismExactness:
 
 class TestDeterminism:
     def test_stream_order_is_reproducible(self):
-        first = [canonical_code(t) for t in enumerate_free_trees(9)]
-        second = [canonical_code(t) for t in enumerate_free_trees(9)]
-        assert first == second
+        first = [canonical_levels(t) for t in enumerate_free_trees(9)]
+        second = [canonical_levels(t) for t in enumerate_free_trees(9)]
+        assert first == second == list(pure.iter_level_sequences(9))
 
 
 class TestFamilies:

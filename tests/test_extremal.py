@@ -28,7 +28,9 @@ from sombor_trees.invariants import (
     independence_number_oracle,
     sombor_index,
 )
-from sombor_trees.tree import Tree, canonical_code, pendant_vertices
+from sombor_trees.tree import Tree, canonical_levels, pendant_vertices
+
+from conftest import IsoClassInterner
 
 
 class TestParams:
@@ -47,7 +49,7 @@ class TestParams:
 class TestConstruction:
     def test_alpha_n_minus_1_gives_the_star(self):
         t = construct_t_star(6, 5)
-        assert canonical_code(t) == canonical_code(Tree.star(6))
+        assert canonical_levels(t) == canonical_levels(Tree.star(6))
 
     def test_6_4_shape(self):
         # hub of degree 4 with three pendants and one length-2 arm
@@ -86,16 +88,17 @@ class TestConstruction:
 
 class TestTStarLevels:
     def test_is_the_streams_sequence_for_t_star(self):
-        # AHU is the independent route: the one stream sequence isomorphic
-        # to the constructed tree is the closed-form sequence
+        # IsoClassInterner is the independent route: the one stream sequence
+        # isomorphic to the constructed tree is the closed-form sequence
         for n in range(2, 15):
-            codes = {}
+            interner = IsoClassInterner()
+            classes = {}
             for levels in pure.iter_level_sequences(n):
-                codes.setdefault(canonical_code(Tree.from_level_sequence(levels)), []).append(levels)
+                t = Tree.from_level_sequence(levels)
+                classes.setdefault(interner.class_id_of_tree(t), []).append(levels)
             for alpha in feasible_alpha_range(n):
-                assert codes[canonical_code(construct_t_star(n, alpha))] == [
-                    t_star_levels(n, alpha)
-                ]
+                t = construct_t_star(n, alpha)
+                assert classes[interner.class_id_of_tree(t)] == [t_star_levels(n, alpha)]
 
     def test_small_cases(self):
         assert t_star_levels(2, 1) == (0, 1)
@@ -163,25 +166,25 @@ class TestClassify:
 
     def test_generated_t1_members_classify_back(self):
         for n in range(4, 13):
-            in_t1 = {}  # alpha -> codes of the stream trees classify puts in T1
+            in_t1 = {}  # alpha -> the stream sequences classify puts in T1
             for levels in pure.iter_level_sequences(n):
                 t = Tree.from_level_sequence(levels)
                 if classify(t) in (TreeClass.T1, TreeClass.TSTAR):
-                    in_t1.setdefault(independence_number(t), []).append(canonical_code(t))
+                    in_t1.setdefault(independence_number(t), []).append(levels)
             for alpha in feasible_alpha_range(n):
                 if n - alpha < 2:
                     continue
                 members = list(t1_members(n, alpha))
                 # one member per class, and every class the stream holds
-                assert sorted(canonical_code(t) for t in members) == sorted(in_t1[alpha])
+                assert sorted(canonical_levels(t) for t in members) == sorted(in_t1[alpha])
                 assert members, (n, alpha)
-                star_code = canonical_code(construct_t_star(n, alpha))
+                star_levels = t_star_levels(n, alpha)
                 for t in members:
                     assert independence_number(t) == alpha
                     label = classify(t)
                     assert label in (TreeClass.T1, TreeClass.TSTAR)
                     assert (label is TreeClass.TSTAR) == (
-                        canonical_code(t) == star_code
+                        canonical_levels(t) == star_levels
                     )
 
     @pytest.mark.parametrize("order", [3, 6, 9])

@@ -6,7 +6,13 @@ from itertools import combinations
 import pytest
 
 from sombor_trees.errors import PreconditionError, TreeStructureError
-from sombor_trees.extremal import TreeClass, classify, construct_t_star, t1_members
+from sombor_trees.extremal import (
+    TreeClass,
+    classify,
+    construct_t_star,
+    t1_members,
+    t_star_levels,
+)
 from sombor_trees.invariants import (
     independence_number,
     sombor_index,
@@ -21,7 +27,7 @@ from sombor_trees.transforms import (
     shift_neighbors,
     swap_endpoints,
 )
-from sombor_trees.tree import Tree, canonical_code, distance
+from sombor_trees.tree import Tree, canonical_levels, distance
 
 from conftest import query_sweep, trees_of_order
 
@@ -303,7 +309,7 @@ class TestTheoremStep:
         t = t1_8_5_one_loaded_leaf()
         assert classify(t) is TreeClass.T1
         out = apply_theorem_step(t)
-        assert canonical_code(out) == canonical_code(construct_t_star(8, 5))
+        assert canonical_levels(out) == t_star_levels(8, 5)
 
     def test_maximizer_is_a_fixed_point(self):
         assert apply_theorem_step(construct_t_star(8, 5)) is None
@@ -324,7 +330,7 @@ class TestTheoremStep:
             apply_theorem_step(Tree.path(7))
 
     def test_every_t1_10_6_member_converges(self):
-        target = canonical_code(construct_t_star(10, 6))
+        target = t_star_levels(10, 6)
         for t in t1_members(10, 6):
             cur = t
             steps = 0
@@ -337,7 +343,7 @@ class TestTheoremStep:
                 cur = nxt
                 steps += 1
                 assert steps <= 10
-            assert canonical_code(cur) == target
+            assert canonical_levels(cur) == target
 
 
 class TestExhaustiveSweep:
@@ -368,11 +374,11 @@ class TestExhaustiveSweep:
                 if classify(t) not in (TreeClass.T1, TreeClass.TSTAR):
                     continue
                 alpha = independence_number(t)
-                target = canonical_code(construct_t_star(n, alpha))
+                target = t_star_levels(n, alpha)
                 cur = t
                 steps = 0
                 while (nxt := apply_theorem_step(cur)) is not None:
                     cur = nxt
                     steps += 1
                     assert steps <= n
-                assert canonical_code(cur) == target
+                assert canonical_levels(cur) == target

@@ -1,4 +1,4 @@
-"""Tree construction, structural queries, canonical codes, edge-list I/O."""
+"""Tree construction, structural queries, canonical levels, edge-list I/O."""
 
 import itertools
 import random
@@ -9,10 +9,10 @@ from sombor_trees import tree as tree_module
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import prufer_to_tree, random_tree
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
-from sombor_trees.extremal import construct_t_star
+from sombor_trees.extremal import construct_t_star, feasible_alpha_range, t_star_levels
 from sombor_trees.tree import (
     Tree,
-    canonical_code,
+    canonical_levels,
     core_split,
     distance,
     distances_from,
@@ -20,13 +20,12 @@ from sombor_trees.tree import (
     format_levels_edge_list,
     parse_edge_list,
     pendant_vertices,
-    preorder_levels,
     support_vertex,
     tree_centers,
     tree_path,
 )
 
-from conftest import query_sweep, trees_of_order
+from conftest import IsoClassInterner, query_sweep, trees_of_order
 
 
 class TestConstruction:
@@ -251,21 +250,23 @@ class TestStripPendants:
 
 
 class TestCanonicalCode:
+    """Relabeling invariance of the canonical code, ``canonical_levels``."""
+
     def test_relabelings_of_p4_agree(self):
         base = Tree.path(4)
         codes = {
-            canonical_code(base.relabel(list(perm)))
+            canonical_levels(base.relabel(list(perm)))
             for perm in itertools.permutations(range(4))
         }
-        assert len(codes) == 1
+        assert codes == {(0, 1, 2, 1)}
 
     def test_p4_and_s4_differ(self):
-        assert canonical_code(Tree.path(4)) != canonical_code(Tree.star(4))
+        assert canonical_levels(Tree.path(4)) != canonical_levels(Tree.star(4))
 
     def test_all_labeled_trees_on_4_vertices_give_2_codes(self):
         codes = set()
         for seq in itertools.product(range(4), repeat=2):
-            codes.add(canonical_code(prufer_to_tree(seq, 4)))
+            codes.add(canonical_levels(prufer_to_tree(seq, 4)))
         assert len(codes) == 2
 
     def test_labeled_dedupe_recovers_free_counts_to_8(self):
@@ -274,32 +275,90 @@ class TestCanonicalCode:
         expected = [1, 1, 1, 2, 3, 6, 11, 23]
         for n in range(1, 9):
             if n == 1:
-                codes = {canonical_code(Tree.from_edges(1, []))}
+                codes = {canonical_levels(Tree.from_edges(1, []))}
             elif n == 2:
-                codes = {canonical_code(Tree.path(2))}
+                codes = {canonical_levels(Tree.path(2))}
             else:
                 codes = set()
                 for seq in itertools.product(range(n), repeat=n - 2):
                     adj = decode_prufer_adjacency(seq, n)
                     codes.add(
-                        canonical_code(Tree(n, tuple(tuple(sorted(a)) for a in adj)))
+                        canonical_levels(Tree(n, tuple(tuple(sorted(a)) for a in adj)))
                     )
             assert len(codes) == expected[n - 1]
+            assert codes == set(pure.iter_level_sequences(n)), n
 
     def test_random_relabeling_invariance(self):
         rng = random.Random(20240811)
         for _ in range(100):
             n = rng.randrange(2, 15)
             t = random_tree(n, rng)
-            code = canonical_code(t)
+            code = canonical_levels(t)
             for _ in range(10):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_code(t.relabel(perm)) == code
+                assert canonical_levels(t.relabel(perm)) == code
 
     def test_centers_of_paths(self):
         assert tree_centers(Tree.path(5)) == [2]
         assert tree_centers(Tree.path(6)) == [2, 3]
+
+
+def _move_a_leaf(t, rng):
+    """t with one random leaf cut off and hung on another random vertex."""
+    leaf = rng.choice([v for v in range(t.order) if t.degrees[v] == 1])
+    w = rng.choice([v for v in range(t.order) if v != leaf])
+    edges = [e for e in t.edges() if leaf not in e] + [(leaf, w)]
+    return Tree.from_edges(t.order, edges)
+
+
+class TestCanonicalLevels:
+    """canonical_levels names a labeled tree by the free-tree stream's own
+    sequence for its isomorphism class."""
+
+    def test_relabeled_stream_trees_give_their_sequence(self):
+        rng = random.Random(16)
+        for n in range(1, 13):
+            for levels in pure.iter_level_sequences(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                t = Tree.from_level_sequence(levels).relabel(perm)
+                assert canonical_levels(t) == levels
+
+    def test_equal_exactly_when_isomorphic(self):
+        # IsoClassInterner is the independent route; the second tree of a
+        # pair is a relabeling, a near miss (one leaf moved) or a fresh tree
+        rng = random.Random(60)
+        interner = IsoClassInterner()
+        outcomes = set()
+        for case in range(900):
+            n = rng.randrange(2, 61)
+            a = random_tree(n, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            b = (a.relabel(perm), _move_a_leaf(a, rng).relabel(perm),
+                 random_tree(n, rng))[case % 3]
+            same = canonical_levels(a) == canonical_levels(b)
+            assert same == (interner.class_id_of_tree(a) == interner.class_id_of_tree(b))
+            outcomes.add((case % 3, same))
+        assert outcomes >= {(0, True), (1, True), (1, False), (2, False)}
+
+    def test_bicentral_trees(self):
+        assert canonical_levels(Tree.path(2)) == (0, 1)
+        assert canonical_levels(Tree.path(6)) == (0, 1, 2, 3, 1, 2)
+        # centers 0 and 1: 0's half {0, 2, 3, 4} outweighs 1's half {1, 5, 6}
+        # at equal height, so the stream roots the tree at 0; swapping the
+        # labels 0 and 1 makes the first center the one to reject
+        t = Tree.from_edges(7, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 5), (5, 6)])
+        levels = (0, 1, 2, 3, 1, 2, 1)
+        assert levels in pure.iter_level_sequences(7)
+        assert canonical_levels(t) == levels
+        assert canonical_levels(t.relabel([1, 0, 2, 3, 4, 5, 6])) == levels
+
+    def test_t_star_is_its_closed_form_sequence(self):
+        for n in range(2, 15):
+            for alpha in feasible_alpha_range(n):
+                assert canonical_levels(construct_t_star(n, alpha)) == t_star_levels(n, alpha)
 
 
 class TestEdgeListFormat:
@@ -328,7 +387,7 @@ class TestEdgeListFormat:
         rng = random.Random(15)
         orders = [*range(15, 301, 19), *range(300, 14, -23)]
         for n in orders:
-            levels = preorder_levels(random_tree(n, rng))
+            levels = canonical_levels(random_tree(n, rng))
             assert format_levels_edge_list(levels) == format_edge_list(
                 Tree.from_level_sequence(levels)
             ), n

@@ -20,7 +20,7 @@ from sombor_trees.cli import main
 from sombor_trees.enumeration import random_tree
 from sombor_trees.errors import SizeLimitError, WorkerError
 from sombor_trees.extremal import construct_t_star
-from sombor_trees.tree import Tree, canonical_code, format_edge_list
+from sombor_trees.tree import Tree, format_edge_list
 from sombor_trees.verify import (
     SO_TOL,
     VerificationReport,
@@ -29,7 +29,7 @@ from sombor_trees.verify import (
     verify,
 )
 
-from conftest import ROOT, bind_backend
+from conftest import ROOT, IsoClassInterner, bind_backend
 
 B = cli._WRITE_BATCH  # characters per batched stdout write
 
@@ -64,8 +64,9 @@ class TestVerifyDriver:
             3 * math.sqrt(17) + math.sqrt(20) + math.sqrt(5), abs=1e-9
         )
         assert rec.maximizer_levels == (0, 1, 2, 1, 1, 1)
-        assert canonical_code(Tree.from_level_sequence(rec.maximizer_levels)) == (
-            canonical_code(construct_t_star(6, 4))
+        interner = IsoClassInterner()
+        assert interner.class_id_of_tree(Tree.from_level_sequence(rec.maximizer_levels)) == (
+            interner.class_id_of_tree(construct_t_star(6, 4))
         )
 
     def test_cap_enforced(self):
@@ -149,15 +150,21 @@ class TestCliCompute:
         path.write_text(format_edge_list(Tree.star(5)))
         assert main(["compute", "--input", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "SO=16.492422502 alpha=4 class=Star"
-        assert out[1].startswith("code=(")
+        assert out == ["SO=16.492422502 alpha=4 class=Star", "levels=0,1,1,1,1"]
 
     def test_t_star_output(self, tmp_path, capsys):
         path = tmp_path / "t64.txt"
         path.write_text(format_edge_list(construct_t_star(6, 4)))
         assert main(["compute", "--input", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "SO=19.077520809 alpha=4 class=TStar"
+        assert out == ["SO=19.077520809 alpha=4 class=TStar", "levels=0,1,2,1,1,1"]
+
+    def test_relabeled_input_gives_the_same_lines(self, tmp_path, capsys):
+        path = tmp_path / "t64.txt"
+        path.write_text(format_edge_list(construct_t_star(6, 4).relabel([5, 2, 0, 4, 1, 3])))
+        assert main(["compute", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "SO=19.077520809 alpha=4 class=TStar\nlevels=0,1,2,1,1,1\n"
 
     def test_self_loop_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
