@@ -1,17 +1,17 @@
 """Maximum Sombor index over trees with a fixed independence number.
 
-Library layout: ``tree`` (representation, canonical form, edge-list I/O),
-``invariants`` (Sombor index, independence number and its oracle),
+Library layout: ``tree`` (representation, canonical level sequence, edge-list
+I/O), ``invariants`` (the Sombor index and the independence number),
 ``enumeration`` (one tree per isomorphism class, streamed), ``extremal``
-(the maximizing construction, closed form, family classifier, scalar
-inequalities), ``transforms`` (the checked rewiring moves), ``verify`` (the
-exhaustive brute-force driver) and ``cli`` (the command-line front end).
-Hot loops live in ``_kernels`` with a compiled backend and a pure-Python
-fallback selected at import.
+(the maximizing construction, closed form and family classifier),
+``transforms`` (the checked rewiring moves), ``verify`` (the exhaustive
+brute-force driver) and ``cli`` (the command-line front end).  Hot loops
+live in ``_kernels`` with a compiled backend and a pure-Python fallback
+selected at import; the independent references that check them are tests.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .enumeration import enumerate_family, enumerate_free_trees
+from .enumeration import enumerate_family
 from .errors import (
     EdgeListParseError,
     InfeasibleParamsError,
@@ -29,17 +29,8 @@ from .extremal import (
     closed_form_max,
     construct_t_star,
     feasible_alpha_range,
-    lemma1_f,
-    lemma2_g,
-    star_shift_inequality,
-    theorem_shift_inequality,
 )
-from .invariants import (
-    independence_number,
-    independence_number_oracle,
-    pendant_inclusive_mis,
-    sombor_index,
-)
+from .invariants import independence_number, sombor_index
 from .transforms import (
     ShiftSpec,
     apply_lemma1_case,
@@ -53,12 +44,9 @@ from .transforms import (
 from .tree import (
     Tree,
     canonical_levels,
-    distance,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
-    pendant_vertices,
-    support_vertex,
     tree_centers,
 )
 from .verify import ExtremalRecord, VerificationReport, verify
@@ -88,27 +76,17 @@ __all__ = [
     "classify",
     "closed_form_max",
     "construct_t_star",
-    "distance",
     "enumerate_family",
-    "enumerate_free_trees",
     "feasible_alpha_range",
     "format_edge_list",
     "format_levels_edge_list",
     "independence_number",
-    "independence_number_oracle",
     "lemma1_case_tag",
-    "lemma1_f",
-    "lemma2_g",
     "parse_edge_list",
-    "pendant_inclusive_mis",
-    "pendant_vertices",
     "select_support_pair",
     "shift_neighbors",
     "sombor_index",
-    "star_shift_inequality",
-    "support_vertex",
     "swap_endpoints",
-    "theorem_shift_inequality",
     "tree_centers",
     "verify",
 ]

@@ -2,9 +2,9 @@
 
 A tree is encoded by its preorder depth sequence ("level sequence") with the
 root at level 0 and children laid out in non-increasing lexicographic order
-of their subsequences.  Canonical rooted sequences are generated in strictly
-decreasing lexicographic order by the classic chop-and-replicate successor
-(``iter_rooted_level_sequences``); a free tree keeps the one center-rooted
+of their subsequences.  Canonical rooted sequences follow one another in
+strictly decreasing lexicographic order by the classic chop-and-replicate
+successor, ``_successor``; a free tree keeps the one center-rooted
 representative that ``_free_check`` accepts.  The one walk, ``_walk``, skips
 invalid blocks by forcing the successor at the end of the first root subtree
 and, when that leaves the root a single deep child, by resetting the tail to
@@ -12,8 +12,8 @@ a path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
 trees", SIAM J. Comput. 15(2), 1986): about 1.04 to 1.14 sequences visited
 per tree for n = 12..18.  The walk reaches ``_free_check``'s verdict from
 state it keeps across sequences and redoes only from the first index a step
-rewrote; the full-scan ``_free_check`` stays as the reference, and the
-rooted stream filtered by it is the walk's test reference.
+rewrote; its reference, in the tests, is the rooted stream of ``_successor``
+filtered by the full-scan ``_free_check``.
 
 ``order_fold`` follows the walk the same way: it keeps parents, degrees and
 the greedy matching's counts across trees, and redoes them only from the
@@ -40,19 +40,6 @@ from typing import Iterator, Sequence
 from ..tree import _free_check, _level_parents
 
 BACKEND = "pure"
-
-
-def iter_rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical rooted trees on n vertices, decreasing lexicographic."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    L = list(range(n))
-    while True:
-        yield tuple(L)
-        if not _successor(L, None):
-            return
-
-
 
 
 def _successor(L: list[int], p: int | None) -> int:

@@ -1,29 +1,19 @@
-"""Streaming enumeration of non-isomorphic trees, plus labeled-tree utilities.
+"""Streaming enumeration of non-isomorphic trees.
 
 The stream comes from the level-sequence kernels: exactly one representative
 per isomorphism class, in a deterministic order (decreasing lexicographic on
-the canonical level sequence).  The Prüfer helpers exist as the independent
-reference route: decoding every sequence and deduplicating by
-``tree.canonical_levels`` must reproduce the stream's sequences, and uniform
-random Prüfer sequences drive the property tests.
+the canonical level sequence).  Its independent reference routes, Prüfer
+decoding of every labeled tree and random labeled trees, live with the tests.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import _kernels
 from .errors import OrderRangeError, SizeLimitError
-from .tree import Tree
 
 DEFAULT_ORDER_CAP = 20
-
-
-def enumerate_free_trees(n: int) -> Iterator[Tree]:
-    """Yield one tree per isomorphism class of order n, deterministically."""
-    return map(Tree.from_level_sequence, enumerate_family(n))
 
 
 def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -43,35 +33,3 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ..
     for levels in _kernels.iter_level_sequences(n):
         if alpha is None or _kernels.tree_stats_from_levels(levels)[1] == alpha:
             yield levels
-
-
-def prufer_to_tree(seq: Sequence[int], order: int) -> Tree:
-    """Decode a Prüfer sequence over 0..order-1 into the labeled tree."""
-    if order < 2:
-        raise ValueError("Prüfer decoding needs order >= 2")
-    if len(seq) != order - 2:
-        raise ValueError(f"sequence length must be {order - 2}, got {len(seq)}")
-    deg = [1] * order
-    for s in seq:
-        if not 0 <= s < order:
-            raise ValueError(f"label {s} out of range")
-        deg[s] += 1
-    leaves = [v for v in range(order) if deg[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
-        deg[s] -= 1
-        if deg[s] == 1:
-            heapq.heappush(leaves, s)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Tree.from_edges(order, edges)
-
-
-def random_tree(order: int, rng: random.Random) -> Tree:
-    """Uniform over labeled trees (random Prüfer sequence)."""
-    if order == 1:
-        return Tree.from_edges(1, [])
-    seq = [rng.randrange(order) for _ in range(order - 2)]
-    return prufer_to_tree(seq, order)

@@ -1,5 +1,5 @@
-"""The extremal machinery: the maximizing tree, its closed-form value, the
-structural family classifier, and the scalar inequalities behind the proofs.
+"""The extremal machinery: the maximizing tree, its closed-form value and
+the structural family classifier (the proofs' scalar inequalities are tests).
 
 Family vocabulary (fixed by the CLI output format):
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .errors import InfeasibleParamsError
 from .tree import Tree, core_split
@@ -130,48 +129,6 @@ def classify(t: Tree) -> TreeClass:
     return TreeClass.T2
 
 
-def lemma1_f(x: float, c: int, d: int) -> float:
-    """sqrt((x+c)^2 + d^2) - sqrt(x^2 + d^2); strictly increasing in x >= 1."""
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive integers")
-    return math.sqrt((x + c) ** 2 + d * d) - math.sqrt(x * x + d * d)
-
-
-def lemma2_g(x: float, c: int, d: int) -> float:
-    """sqrt(c^2 + x^2) - sqrt(d^2 + x^2) with c > d; strictly decreasing in x >= 1."""
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be positive integers")
-    if c <= d:
-        raise ValueError(f"requires c > d, got c={c}, d={d}")
-    return math.sqrt(c * c + x * x) - math.sqrt(d * d + x * x)
-
-
-def star_shift_inequality(n_minus_alpha: int, k: int) -> bool:
-    """(s+k)^2 + 1 >= s^2 + (k+1)^2 for s = n-alpha >= 2, k >= 1 (exact)."""
-    s = n_minus_alpha
-    return (s + k) ** 2 + 1 >= s * s + (k + 1) ** 2
-
-
-def theorem_shift_inequality(l: int, k: int) -> bool:
-    """(l+k)^2 + 4 >= (l+1)^2 + (k+1)^2 for l, k >= 1 (exact)."""
-    return (l + k) ** 2 + 4 >= (l + 1) ** 2 + (k + 1) ** 2
-
-
-def _pendant_distributions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing compositions of total into exactly `parts` parts >= 1."""
-
-    def rec(remaining: int, parts_left: int, cap: int):
-        if parts_left == 1:
-            if 1 <= remaining <= cap:
-                yield (remaining,)
-            return
-        for first in range(min(cap, remaining - (parts_left - 1)), 0, -1):
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, parts, total)
-
-
 def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:
     """Star core with `hub_count` pendants on the hub and leaf_counts[i] on
     core leaf i+1.  Numbering: hub 0, core leaves, leaf pendants grouped per
@@ -187,32 +144,3 @@ def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:
         edges.append((0, nxt))
         nxt += 1
     return Tree.from_edges(nxt, edges)
-
-
-def t1_members(order: int, alpha: int) -> Iterator[Tree]:
-    """All trees built from the star on order-alpha vertices by hanging at
-    least one pendant on every core vertex, alpha pendants in total.  One
-    representative per isomorphism class."""
-    ExtremalParams(order, alpha)
-    s = order - alpha
-    if s < 2:
-        raise InfeasibleParamsError(
-            f"the T1 family needs order - alpha >= 2, got {s}"
-        )
-    for hub_count in range(1, alpha - (s - 1) + 1):
-        for leaf_counts in _pendant_distributions(alpha - hub_count, s - 1):
-            if s == 2 and hub_count > leaf_counts[0]:
-                continue  # a two-vertex core with its ends swapped: seen already
-            yield _star_with_pendants(s, hub_count, leaf_counts)
-
-
-def t2_members(order: int, alpha: int) -> Iterator[Tree]:
-    """All trees built from the star on order-alpha+1 vertices by hanging
-    pendants on every non-hub core vertex only, alpha-1 pendants in total.
-    Empty when 2*alpha < order + 1; undefined at alpha = n/2."""
-    ExtremalParams(order, alpha)
-    if 2 * alpha == order:
-        raise InfeasibleParamsError("the T2 family is not defined at alpha = n/2")
-    s = order - alpha + 1
-    for leaf_counts in _pendant_distributions(alpha - 1, s - 1):
-        yield _star_with_pendants(s, 0, leaf_counts)

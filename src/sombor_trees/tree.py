@@ -203,18 +203,6 @@ class Tree:
         return f"Tree(order={self.order}, edges={list(self.edges())})"
 
 
-def pendant_vertices(t: Tree) -> set[int]:
-    """All degree-1 vertices; empty for the order-1 tree."""
-    return {v for v in range(t.order) if t.degrees[v] == 1}
-
-
-def support_vertex(t: Tree, pendant: int) -> int:
-    """The unique neighbor of a pendant vertex."""
-    if t.degree(pendant) != 1:
-        raise ValueError(f"vertex {pendant} has degree {t.degrees[pendant]}, not 1")
-    return t.adjacency[pendant][0]
-
-
 def tree_path(t: Tree, u: int, v: int) -> list[int]:
     """Vertex sequence of the unique u-v path (inclusive)."""
     t._check_vertex(u)
@@ -231,13 +219,6 @@ def distances_from(t: Tree, u: int) -> list[int]:
     """Edge count of the path from u to each vertex, indexed by vertex."""
     t._check_vertex(u)
     return _walk(t.adjacency, u)[2]
-
-
-def distance(t: Tree, u: int, v: int) -> int:
-    """Edge count of the unique u-v path."""
-    dist = distances_from(t, u)
-    t._check_vertex(v)
-    return dist[v]
 
 
 def core_split(t: Tree) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -276,13 +257,14 @@ def canonical_levels(t: Tree) -> tuple[int, ...]:
     centers = tree_centers(t)
     for root in centers:
         order, parent, depth = _walk(t.adjacency, root)
-        kids: list[list[list[int]]] = [[] for _ in order]
+        kids: list[list[list[int]] | None] = [[] for _ in order]
         for v in reversed(order):  # children before parents
             seq = [depth[v]]
             if kids[v]:
                 kids[v].sort(reverse=True)
                 for s in kids[v]:
                     seq += s
+                kids[v] = None  # drop the joined lists, or a long path keeps O(n^2)
             if v != root:
                 kids[parent[v]].append(seq)
         if root == centers[-1] or _free_check(seq)[0]:

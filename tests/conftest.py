@@ -1,8 +1,8 @@
 """Shared helpers: the compiled-backend fixture and backend binding, cached
-enumeration sweeps, the free-tree stream's reference (the rooted stream
-filtered by the free check), the labeled-tree reference oracle (Prüfer
-decoding + isomorphism-class interning), and tree automorphism counts for the
-exact Cayley cross-check."""
+enumeration sweeps, and the independent references the package leaves to the
+tests: the rooted stream and its free-check filter, Prüfer decoding, the
+isomorphism-class interner with automorphism counts, the subset-sweep
+independence oracle, and the paper's test-only trees, sets and inequalities."""
 
 import heapq
 import importlib.util
@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -17,8 +18,10 @@ import pytest
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import pure
-from sombor_trees.enumeration import enumerate_free_trees, random_tree
-from sombor_trees.tree import Tree
+from sombor_trees.enumeration import enumerate_family
+from sombor_trees.errors import InfeasibleParamsError, SizeLimitError
+from sombor_trees.extremal import ExtremalParams, _star_with_pendants
+from sombor_trees.tree import Tree, canonical_levels, distances_from
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,18 +73,28 @@ def bind_backend(monkeypatch, mod):
     monkeypatch.setattr(_kernels, "tree_stats_from_levels", mod.tree_stats_from_levels)
 
 
+def iter_rooted_level_sequences(n):
+    """All canonical rooted trees on n vertices, decreasing lexicographic:
+    ``pure._successor`` run from the path rooted at an end."""
+    L = list(range(n))
+    while True:
+        yield tuple(L)
+        if not pure._successor(L, None):
+            return
+
+
 @lru_cache(maxsize=None)
 def filtered_rooted_stream(n):
     """The free-tree stream's reference: every canonical rooted sequence of
     order n that the free check accepts, in rooted-stream order.  Both
     generators and the compiled filter mode must yield exactly this."""
-    return [L for L in pure.iter_rooted_level_sequences(n) if pure._free_check(L)[0]]
+    return [L for L in iter_rooted_level_sequences(n) if pure._free_check(L)[0]]
 
 
 @lru_cache(maxsize=None)
 def trees_of_order(n):
     """Materialized enumeration stream, cached across tests."""
-    return tuple(enumerate_free_trees(n))
+    return tuple(map(Tree.from_level_sequence, enumerate_family(n)))
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +115,8 @@ def query_sweep():
 
 
 def decode_prufer_adjacency(seq, n):
-    """Prüfer decode straight to an adjacency list (no validation overhead)."""
+    """Prüfer decode straight to an adjacency list (no validation overhead);
+    the one heap decoder, behind ``prufer_to_tree`` and ``random_tree`` too."""
     deg = [1] * n
     for s in seq:
         deg[s] += 1
@@ -116,11 +130,27 @@ def decode_prufer_adjacency(seq, n):
         deg[s] -= 1
         if deg[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
+    u, v = leaves
     adj[u].append(v)
     adj[v].append(u)
     return adj
+
+
+def prufer_to_tree(seq, order):
+    """Decode a Prüfer sequence over 0..order-1 into the labeled tree."""
+    if order < 2:
+        raise ValueError("Prüfer decoding needs order >= 2")
+    if len(seq) != order - 2 or not all(0 <= s < order for s in seq):
+        raise ValueError(f"not a Prüfer sequence over 0..{order - 1}: {seq}")
+    adj = decode_prufer_adjacency(seq, order)
+    return Tree(order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def random_tree(order, rng):
+    """Uniform over labeled trees (random Prüfer sequence)."""
+    if order == 1:
+        return Tree.from_edges(1, [])
+    return prufer_to_tree([rng.randrange(order) for _ in range(order - 2)], order)
 
 
 def _centers_of_adjacency(adj):
@@ -144,117 +174,78 @@ def _centers_of_adjacency(adj):
 
 
 class IsoClassInterner:
-    """Maps trees to small integers, equal exactly for isomorphic trees.
+    """Maps trees to small integers, equal exactly for isomorphic trees, and
+    counts automorphisms.
 
     Independent of the production identity, ``tree.canonical_levels``:
     integer-interned AHU codes over raw adjacency lists, rooted at the 1- or
-    2-vertex center.
+    2-vertex center.  Each rooted code keeps its automorphism count, worked
+    out once when the code is first interned: the children's counts times
+    k! for every k equal children.
     """
 
     def __init__(self):
         self._codes = {}
+        self._auts = []
 
-    def _rooted(self, adj, root):
+    def rooted(self, adj, root, skip=-1):
+        """(code, automorphism count) of adj rooted at root; skip removes one
+        neighbor of root, to split a bicentral tree at its central edge."""
         n = len(adj)
         parent = [-1] * n
         seen = bytearray(n)
         seen[root] = 1
+        if skip >= 0:
+            seen[skip] = 1
         order = [root]
-        stack = [root]
-        while stack:
-            v = stack.pop()
+        for v in order:  # breadth first: parents before their children
             for u in adj[v]:
                 if not seen[u]:
                     seen[u] = 1
                     parent[u] = v
                     order.append(u)
-                    stack.append(u)
         kids = [[] for _ in range(n)]
-        codes = self._codes
+        codes, auts = self._codes, self._auts
         for v in reversed(order):
             key = tuple(sorted(kids[v]))
-            code = codes.setdefault(key, len(codes))
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(auts)
+                aut = 1
+                for child, k in Counter(key).items():
+                    aut *= auts[child] ** k * math.factorial(k)
+                auts.append(aut)
             if v == root:
-                return code
+                return code, auts[code]
             kids[parent[v]].append(code)
         raise AssertionError
 
     def class_id(self, adj):
-        return min(self._rooted(adj, c) for c in _centers_of_adjacency(adj))
+        return min(self.rooted(adj, c)[0] for c in _centers_of_adjacency(adj))
 
     def class_id_of_tree(self, t: Tree):
         return self.class_id([list(nbrs) for nbrs in t.adjacency])
 
 
-def prufer_iso_classes(n, interner=None):
-    """Set of interner class ids over all labeled trees, plus the interner."""
-    if interner is None:
-        interner = IsoClassInterner()
-    ids = set()
-    if n == 1:
-        ids.add(interner.class_id([[]]))
-    elif n == 2:
-        ids.add(interner.class_id([[1], [0]]))
-    else:
-        for seq in itertools.product(range(n), repeat=n - 2):
-            ids.add(interner.class_id(decode_prufer_adjacency(seq, n)))
-    return ids, interner
-
-
-def _rooted_code_and_aut(adj, root, skip=-1):
-    """Interned-free rooted AHU code plus rooted automorphism count.
-
-    skip removes one neighbor of root (used to split a bicentral tree at its
-    central edge).
-    """
-    n = len(adj)
-    parent = [-1] * n
-    seen = bytearray(n)
-    seen[root] = 1
-    if skip >= 0:
-        seen[skip] = 1
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if not seen[u]:
-                seen[u] = 1
-                parent[u] = v
-                order.append(u)
-                stack.append(u)
-    kids = [[] for _ in range(n)]
-    auts = [1] * n
-    for v in reversed(order):
-        children = sorted(kids[v])
-        aut = auts[v]
-        run = 1
-        for i in range(1, len(children)):
-            if children[i] == children[i - 1]:
-                run += 1
-            else:
-                aut *= math.factorial(run)
-                run = 1
-        if children:
-            aut *= math.factorial(run)
-        code = "(" + "".join(children) + ")"
-        if v == root:
-            return code, aut
-        kids[parent[v]].append(code)
-        auts[parent[v]] *= aut
-    raise AssertionError
+def prufer_iso_classes(n):
+    """Set of interner class ids over all labeled trees of order n >= 2, plus
+    the interner."""
+    interner = IsoClassInterner()
+    seqs = itertools.product(range(n), repeat=n - 2)
+    return {interner.class_id(decode_prufer_adjacency(s, n)) for s in seqs}, interner
 
 
 def tree_automorphism_count(t: Tree) -> int:
     """|Aut(T)| for a free tree: rooted count at the unique center, or the
     split-edge product (doubled when the halves match) for two centers."""
     adj = [list(nbrs) for nbrs in t.adjacency]
+    interner = IsoClassInterner()
     centers = _centers_of_adjacency(adj)
     if len(centers) == 1:
-        return _rooted_code_and_aut(adj, centers[0])[1]
+        return interner.rooted(adj, centers[0])[1]
     c1, c2 = centers
-    code1, a1 = _rooted_code_and_aut(adj, c1, skip=c2)
-    code2, a2 = _rooted_code_and_aut(adj, c2, skip=c1)
+    code1, a1 = interner.rooted(adj, c1, skip=c2)
+    code2, a2 = interner.rooted(adj, c2, skip=c1)
     return a1 * a2 * (2 if code1 == code2 else 1)
 
 
@@ -272,8 +263,6 @@ def grow_by_leaf(trees):
     """Every order n+1 tree arises from an order-n tree plus one leaf; dedupe
     by ``canonical_levels``, the returned dict's keys.  Structural-induction
     cross-check."""
-    from sombor_trees.tree import canonical_levels
-
     seen = {}
     for t in trees:
         n = t.order
@@ -284,3 +273,133 @@ def grow_by_leaf(trees):
             if levels not in seen:
                 seen[levels] = grown
     return seen
+
+
+INDEPENDENCE_ORACLE_MAX = 24
+
+
+def independence_number_oracle(t: Tree) -> int:
+    """Ground truth: examine every vertex subset for internal edges.
+
+    Exponential; refuses orders beyond INDEPENDENCE_ORACLE_MAX.
+    """
+    n = t.order
+    if n > INDEPENDENCE_ORACLE_MAX:
+        raise SizeLimitError(
+            f"subset oracle limited to order <= {INDEPENDENCE_ORACLE_MAX}, got {n}"
+        )
+    nbr_mask = [sum(1 << u for u in t.adjacency[v]) for v in range(n)]
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    best = 0
+    for mask in range(1, 1 << n):
+        v = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << v)
+        if independent[rest] and not (nbr_mask[v] & rest):
+            independent[mask] = 1
+            best = max(best, mask.bit_count())
+    return best
+
+
+def pendant_inclusive_mis(t: Tree) -> frozenset[int]:
+    """A maximum independent set that contains every pendant vertex, or {0}
+    on the single edge, whose two pendants are adjacent.
+
+    One pass, deepest vertices first, from a root of degree >= 2 (vertex 1 on
+    the single edge): a vertex joins when none of its deeper neighbors has.
+    Every leaf joins, and on a tree this greedy choice is optimal.
+    """
+    if t.order < 2:
+        raise ValueError("defined for trees with at least 2 vertices")
+    root = next((v for v in range(t.order) if t.degrees[v] >= 2), 1)
+    depth = distances_from(t, root)
+    members: set[int] = set()
+    for v in sorted(range(t.order), key=depth.__getitem__, reverse=True):
+        if members.isdisjoint(t.adjacency[v]):  # its parent comes later
+            members.add(v)
+    return frozenset(members)
+
+
+def _pendant_distributions(total: int, parts: int, cap=math.inf):
+    """Non-increasing compositions of total into exactly `parts` parts >= 1,
+    none above cap."""
+    if parts == 1:
+        if 1 <= total <= cap:
+            yield (total,)
+        return
+    for first in range(min(cap, total - parts + 1), 0, -1):
+        for rest in _pendant_distributions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def t1_members(order: int, alpha: int):
+    """All trees built from the star on order-alpha vertices by hanging at
+    least one pendant on every core vertex, alpha pendants in total.  One
+    representative per isomorphism class, built as ``construct_t_star``
+    builds the maximizer."""
+    ExtremalParams(order, alpha)
+    s = order - alpha
+    if s < 2:
+        raise InfeasibleParamsError(f"the T1 family needs order - alpha >= 2, got {s}")
+    for hub_count in range(1, alpha - (s - 1) + 1):
+        for leaf_counts in _pendant_distributions(alpha - hub_count, s - 1):
+            if s == 2 and hub_count > leaf_counts[0]:
+                continue  # a two-vertex core with its ends swapped: seen already
+            yield _star_with_pendants(s, hub_count, leaf_counts)
+
+
+def t2_members(order: int, alpha: int):
+    """All trees built from the star on order-alpha+1 vertices by hanging
+    pendants on every non-hub core vertex only, alpha-1 pendants in total.
+    Empty when 2*alpha < order + 1; undefined at alpha = n/2."""
+    ExtremalParams(order, alpha)
+    if 2 * alpha == order:
+        raise InfeasibleParamsError("the T2 family is not defined at alpha = n/2")
+    for leaf_counts in _pendant_distributions(alpha - 1, order - alpha):
+        yield _star_with_pendants(order - alpha + 1, 0, leaf_counts)
+
+
+def lemma1_f(x: float, c: int, d: int) -> float:
+    """sqrt((x+c)^2 + d^2) - sqrt(x^2 + d^2); strictly increasing in x >= 1."""
+    if c < 1 or d < 1:
+        raise ValueError("c and d must be positive integers")
+    return math.sqrt((x + c) ** 2 + d * d) - math.sqrt(x * x + d * d)
+
+
+def lemma2_g(x: float, c: int, d: int) -> float:
+    """sqrt(c^2 + x^2) - sqrt(d^2 + x^2) with c > d; strictly decreasing in x >= 1."""
+    if c < 1 or d < 1:
+        raise ValueError("c and d must be positive integers")
+    if c <= d:
+        raise ValueError(f"requires c > d, got c={c}, d={d}")
+    return math.sqrt(c * c + x * x) - math.sqrt(d * d + x * x)
+
+
+def star_shift_inequality(n_minus_alpha: int, k: int) -> bool:
+    """(s+k)^2 + 1 >= s^2 + (k+1)^2 for s = n-alpha >= 2, k >= 1 (exact)."""
+    s = n_minus_alpha
+    return (s + k) ** 2 + 1 >= s * s + (k + 1) ** 2
+
+
+def theorem_shift_inequality(l: int, k: int) -> bool:
+    """(l+k)^2 + 4 >= (l+1)^2 + (k+1)^2 for l, k >= 1 (exact)."""
+    return (l + k) ** 2 + 4 >= (l + 1) ** 2 + (k + 1) ** 2
+
+
+def pendant_vertices(t: Tree) -> set[int]:
+    """All degree-1 vertices; empty for the order-1 tree."""
+    return {v for v in range(t.order) if t.degrees[v] == 1}
+
+
+def support_vertex(t: Tree, pendant: int) -> int:
+    """The unique neighbor of a pendant vertex."""
+    if t.degree(pendant) != 1:
+        raise ValueError(f"vertex {pendant} has degree {t.degrees[pendant]}, not 1")
+    return t.adjacency[pendant][0]
+
+
+def distance(t: Tree, u: int, v: int) -> int:
+    """Edge count of the unique u-v path."""
+    dist = distances_from(t, u)
+    t._check_vertex(v)
+    return dist[v]

@@ -13,31 +13,28 @@ from sombor_trees.extremal import (
     TreeClass,
     classify,
     construct_t_star,
-    feasible_alpha_range,
-    lemma1_f,
-    lemma2_g,
-    star_shift_inequality,
     t_star_levels,
-    theorem_shift_inequality,
 )
-from sombor_trees.invariants import (
-    independence_number,
-    independence_number_oracle,
-    pendant_inclusive_mis,
-    sombor_index,
-)
+from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.transforms import (
     apply_lemma1_case,
     apply_lemma2_step,
     apply_theorem_step,
 )
 from sombor_trees._kernels import pure
-from sombor_trees.tree import Tree, canonical_levels, pendant_vertices
+from sombor_trees.tree import canonical_levels
 from sombor_trees.verify import verify
 
 from conftest import (
+    independence_number_oracle,
     labeled_tree_total,
+    lemma1_f,
+    lemma2_g,
+    pendant_inclusive_mis,
+    pendant_vertices,
     prufer_iso_classes,
+    star_shift_inequality,
+    theorem_shift_inequality,
     trees_of_order,
 )
 

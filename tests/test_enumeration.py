@@ -6,20 +6,19 @@ import random
 import pytest
 
 from sombor_trees._kernels import pure
-from sombor_trees.enumeration import (
-    enumerate_family,
-    enumerate_free_trees,
-    prufer_to_tree,
-    random_tree,
-)
+from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import OrderRangeError, SizeLimitError
-from sombor_trees.invariants import independence_number, independence_number_oracle
+from sombor_trees.invariants import independence_number
 from sombor_trees.tree import Tree, canonical_levels
 
 from conftest import (
     filtered_rooted_stream,
     grow_by_leaf,
+    independence_number_oracle,
+    iter_rooted_level_sequences,
     prufer_iso_classes,
+    prufer_to_tree,
+    random_tree,
     trees_of_order,
 )
 
@@ -36,7 +35,7 @@ class TestCounts:
 
     def test_known_rooted_tree_counts(self):
         for n, expected in enumerate(ROOTED_TREE_COUNTS, start=1):
-            assert sum(1 for _ in pure.iter_rooted_level_sequences(n)) == expected
+            assert sum(1 for _ in iter_rooted_level_sequences(n)) == expected
 
     def test_order_4_is_path_and_star(self):
         codes = {canonical_levels(t) for t in trees_of_order(4)}
@@ -44,7 +43,7 @@ class TestCounts:
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):
-            list(enumerate_free_trees(21))
+            list(enumerate_family(21))
         with pytest.raises(SizeLimitError):
             list(enumerate_family(21, 11))
         with pytest.raises(OrderRangeError):
@@ -82,8 +81,10 @@ class TestIsomorphismExactness:
 
 class TestDeterminism:
     def test_stream_order_is_reproducible(self):
-        first = [canonical_levels(t) for t in enumerate_free_trees(9)]
-        second = [canonical_levels(t) for t in enumerate_free_trees(9)]
+        first = [canonical_levels(Tree.from_level_sequence(levels))
+                 for levels in enumerate_family(9)]
+        second = [canonical_levels(Tree.from_level_sequence(levels))
+                  for levels in enumerate_family(9)]
         assert first == second == list(pure.iter_level_sequences(9))
 
 

@@ -14,23 +14,23 @@ from sombor_trees.extremal import (
     closed_form_max,
     construct_t_star,
     feasible_alpha_range,
+    star_core,
+    t_star_levels,
+)
+from sombor_trees.invariants import independence_number, sombor_index
+from sombor_trees.tree import Tree, canonical_levels
+
+from conftest import (
+    IsoClassInterner,
+    independence_number_oracle,
     lemma1_f,
     lemma2_g,
-    star_core,
+    pendant_vertices,
     star_shift_inequality,
     t1_members,
     t2_members,
-    t_star_levels,
     theorem_shift_inequality,
 )
-from sombor_trees.invariants import (
-    independence_number,
-    independence_number_oracle,
-    sombor_index,
-)
-from sombor_trees.tree import Tree, canonical_levels, pendant_vertices
-
-from conftest import IsoClassInterner
 
 
 class TestParams:

@@ -6,18 +6,18 @@ import random
 
 import pytest
 
-from sombor_trees.enumeration import random_tree
 from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
-from sombor_trees.invariants import (
-    independence_number,
+from sombor_trees.invariants import independence_number, sombor_index
+from sombor_trees.tree import Tree
+
+from conftest import (
     independence_number_oracle,
     pendant_inclusive_mis,
-    sombor_index,
+    pendant_vertices,
+    random_tree,
+    trees_of_order,
 )
-from sombor_trees.tree import Tree, pendant_vertices
-
-from conftest import trees_of_order
 
 
 class TestSomborIndex:

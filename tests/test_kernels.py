@@ -16,10 +16,17 @@ import pytest
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
-from sombor_trees.invariants import independence_number_oracle, sombor_index
+from sombor_trees.invariants import sombor_index
 from sombor_trees.tree import Tree
 
-from conftest import ROOT, bind_backend, filtered_rooted_stream, perfbench_build
+from conftest import (
+    ROOT,
+    bind_backend,
+    filtered_rooted_stream,
+    independence_number_oracle,
+    iter_rooted_level_sequences,
+    perfbench_build,
+)
 
 
 class TestPureKernels:
@@ -230,7 +237,7 @@ class TestCompiledParity:
     def test_rooted_streams_identical(self, compiled):
         for n in range(1, 10):
             assert list(compiled.iter_rooted_level_sequences(n)) == list(
-                pure.iter_rooted_level_sequences(n)
+                iter_rooted_level_sequences(n)
             )
 
 

@@ -10,7 +10,6 @@ from sombor_trees.extremal import (
     TreeClass,
     classify,
     construct_t_star,
-    t1_members,
     t_star_levels,
 )
 from sombor_trees.invariants import (
@@ -27,9 +26,9 @@ from sombor_trees.transforms import (
     shift_neighbors,
     swap_endpoints,
 )
-from sombor_trees.tree import Tree, canonical_levels, distance
+from sombor_trees.tree import Tree, canonical_levels
 
-from conftest import query_sweep, trees_of_order
+from conftest import distance, query_sweep, t1_members, trees_of_order
 
 
 def double_star():

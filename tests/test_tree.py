@@ -2,30 +2,36 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from sombor_trees import tree as tree_module
 from sombor_trees._kernels import pure
-from sombor_trees.enumeration import prufer_to_tree, random_tree
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
 from sombor_trees.extremal import construct_t_star, feasible_alpha_range, t_star_levels
 from sombor_trees.tree import (
     Tree,
     canonical_levels,
     core_split,
-    distance,
     distances_from,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
-    pendant_vertices,
-    support_vertex,
     tree_centers,
     tree_path,
 )
 
-from conftest import IsoClassInterner, query_sweep, trees_of_order
+from conftest import (
+    IsoClassInterner,
+    distance,
+    pendant_vertices,
+    prufer_to_tree,
+    query_sweep,
+    random_tree,
+    support_vertex,
+    trees_of_order,
+)
 
 
 class TestConstruction:
@@ -270,21 +276,13 @@ class TestCanonicalCode:
         assert len(codes) == 2
 
     def test_labeled_dedupe_recovers_free_counts_to_8(self):
-        from conftest import decode_prufer_adjacency
-
         expected = [1, 1, 1, 2, 3, 6, 11, 23]
         for n in range(1, 9):
             if n == 1:
                 codes = {canonical_levels(Tree.from_edges(1, []))}
-            elif n == 2:
-                codes = {canonical_levels(Tree.path(2))}
             else:
-                codes = set()
-                for seq in itertools.product(range(n), repeat=n - 2):
-                    adj = decode_prufer_adjacency(seq, n)
-                    codes.add(
-                        canonical_levels(Tree(n, tuple(tuple(sorted(a)) for a in adj)))
-                    )
+                codes = {canonical_levels(prufer_to_tree(seq, n))
+                         for seq in itertools.product(range(n), repeat=n - 2)}
             assert len(codes) == expected[n - 1]
             assert codes == set(pure.iter_level_sequences(n)), n
 
@@ -359,6 +357,19 @@ class TestCanonicalLevels:
         for n in range(2, 15):
             for alpha in feasible_alpha_range(n):
                 assert canonical_levels(construct_t_star(n, alpha)) == t_star_levels(n, alpha)
+
+    def test_long_path_stays_linear_in_memory(self):
+        # a path keeps every vertex's joined lists alive unless they are
+        # dropped once joined: about 130 MB here
+        t = Tree.path(8000)
+        tracemalloc.start()
+        try:
+            levels = canonical_levels(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert levels == tuple(range(4001)) + tuple(range(1, 4000))
+        assert peak <= 4 * 2**20, peak
 
 
 class TestEdgeListFormat:

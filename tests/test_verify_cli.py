@@ -17,7 +17,6 @@ import pytest
 from sombor_trees._kernels import pure
 from sombor_trees import cli
 from sombor_trees.cli import main
-from sombor_trees.enumeration import random_tree
 from sombor_trees.errors import SizeLimitError, WorkerError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, format_edge_list
@@ -29,7 +28,7 @@ from sombor_trees.verify import (
     verify,
 )
 
-from conftest import ROOT, IsoClassInterner, bind_backend
+from conftest import ROOT, IsoClassInterner, bind_backend, random_tree
 
 B = cli._WRITE_BATCH  # characters per batched stdout write
 
