@@ -10,6 +10,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -71,6 +72,7 @@ def _write_stdout(chunks, sep: str = "") -> int:
     return count
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sombor-trees",

@@ -6,7 +6,12 @@ class SomborTreesError(Exception):
 
 
 class TreeStructureError(SomborTreesError, ValueError):
-    """Input is not a tree, or a rewiring would break tree-ness."""
+    """Input is not a tree, or a rewiring would break tree-ness; carries the
+    0-based position of the offending edge, or None when no one edge is."""
+
+    def __init__(self, message, edge=None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class EdgeListParseError(SomborTreesError, ValueError):

@@ -131,8 +131,8 @@ def classify(t: Tree) -> TreeClass:
 
 def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:
     """Star core with `hub_count` pendants on the hub and leaf_counts[i] on
-    core leaf i+1.  Numbering: hub 0, core leaves, leaf pendants grouped per
-    leaf, hub pendants last."""
+    core leaf i+1, built by ``Tree.from_edges`` (T* and the tests' T1/T2
+    builders).  Numbering: hub 0, core leaves, leaf pendants, hub pendants."""
     edges = []
     nxt = core_size
     for i in range(1, core_size):

@@ -6,10 +6,11 @@ toward the extremal one: re-homing a batch of neighbors from a donor vertex
 to a receiver, swapping the far endpoints of two edges, and the composite
 case moves driven by a maximum-distance pair of support vertices in the
 pendant-stripped core.  Every move learns which neighbors are pendants and
-which are core from ``tree.core_split``, and every rewiring builds its result
-through ``_rewire``.  Preconditions are verified structurally; the
-SO-increase and alpha-preservation claims are left to the property tests,
-which sweep every applicable tree exhaustively at small orders.
+which are core from ``tree.core_split``.  Every rewiring builds its result
+through ``_rewire``: ``Tree.from_edges`` judges tree-ness, and the move only
+names itself in the error.  Other preconditions are verified structurally;
+the SO-increase and alpha-preservation claims are left to the property
+tests, which sweep every applicable tree exhaustively at small orders.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
 
     Valid whenever the moved subtrees hang off the donor away from the
     receiver; the donor-side edge of the donor-receiver path must stay put.
+    Past the checks below, moving it is exactly what ``Tree.from_edges`` rejects.
     """
     donor, receiver = spec.donor, spec.receiver
     moved = tuple(spec.moved)
@@ -52,20 +54,19 @@ def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
     for w in moved:
         if w not in t.adjacency[donor]:
             raise TreeStructureError(f"vertex {w} is not adjacent to donor {donor}")
-    if moved:
-        toward = tree_path(t, donor, receiver)[1]
-        if toward in moved:
-            raise TreeStructureError(
-                f"moving {toward} would detach the donor from the receiver"
-            )
-    return _rewire(t, [(donor, w) for w in moved], [(receiver, w) for w in moved])
+    detach = f"moving {', '.join(map(str, moved))} would detach the donor from the receiver"
+    return _rewire(t, [(donor, w) for w in moved], [(receiver, w) for w in moved], detach)
 
 
-def _rewire(t: Tree, dropped: list, added: list) -> Tree:
-    """t with the edges in dropped replaced by those in added, validated."""
+def _rewire(t: Tree, dropped: list, added: list, failure: str) -> Tree:
+    """t with the edges in dropped replaced by those in added, built by
+    ``Tree.from_edges``; a rejection is raised again prefixed with failure."""
     gone = {frozenset(e) for e in dropped}
     edges = [e for e in t.edges() if frozenset(e) not in gone]
-    return Tree.from_edges(t.order, edges + added)
+    try:
+        return Tree.from_edges(t.order, edges + added)
+    except TreeStructureError as exc:
+        raise TreeStructureError(f"{failure}: {exc}") from exc
 
 
 def swap_endpoints(t: Tree, u: int, x: int, v: int, y: int) -> Tree:
@@ -78,10 +79,8 @@ def swap_endpoints(t: Tree, u: int, x: int, v: int, y: int) -> Tree:
         raise TreeStructureError(f"{u} and {x} are not adjacent")
     if y not in t.adjacency[v]:
         raise TreeStructureError(f"{v} and {y} are not adjacent")
-    try:
-        return _rewire(t, [(u, x), (v, y)], [(u, y), (v, x)])
-    except TreeStructureError as exc:
-        raise TreeStructureError(f"endpoint swap does not preserve tree-ness: {exc}")
+    failure = "endpoint swap does not preserve tree-ness"
+    return _rewire(t, [(u, x), (v, y)], [(u, y), (v, x)], failure)
 
 
 def select_support_pair(t: Tree) -> tuple[int, int]:

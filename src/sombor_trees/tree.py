@@ -1,9 +1,11 @@
 """Immutable trees on integer vertices: structural queries, edge-list I/O,
 and the canonical level sequence that names a tree's isomorphism class.
 
-Vertices are always 0..order-1.  ``canonical_levels`` gives the sequence the
-free-tree stream yields for the tree's class, so two trees get the same
-sequence exactly when they are isomorphic, and it doubles as a dedup key.
+Vertices are always 0..order-1.  ``Tree.from_edges`` is the one judge of
+tree-ness; the edge-list parser and the rewirings in ``transforms`` take its
+verdict.  ``canonical_levels`` gives the sequence the free-tree stream yields
+for the tree's class, so two trees get the same sequence exactly when they
+are isomorphic, and it doubles as a dedup key.
 """
 
 from __future__ import annotations
@@ -100,9 +102,9 @@ class Tree:
     """Undirected tree stored as a tuple of sorted neighbor tuples.
 
     Instances are value objects: equality and hashing follow the labeled
-    adjacency, and nothing mutates after construction.  Use ``from_edges``
-    for untrusted input; the other constructors build known-good trees and
-    skip revalidation.
+    adjacency, and nothing mutates after construction.  ``path``, ``star`` and
+    T*'s builder go through the checked ``from_edges``; ``from_level_sequence``
+    and ``relabel`` build trees by construction and skip it.
     """
 
     __slots__ = ("order", "adjacency", "degrees")
@@ -114,30 +116,29 @@ class Tree:
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Tree":
-        """Validating constructor: exactly order-1 distinct, loop-free edges
-        forming a connected graph."""
+        """The one judge of tree-ness: exactly order-1 distinct, loop-free
+        edges on 0..order-1 forming a connected graph.  A range, self-loop or
+        duplicate error records the edge's 0-based position as ``.edge``."""
         if order < 1:
             raise TreeStructureError(f"order must be positive, got {order}")
         adj: list[list[int]] = [[] for _ in range(order)]
         seen: set[tuple[int, int]] = set()
-        count = 0
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < order and 0 <= v < order):
                 raise TreeStructureError(
-                    f"edge ({u}, {v}) out of range for order {order}"
+                    f"edge ({u}, {v}) out of range for order {order}", i
                 )
             if u == v:
-                raise TreeStructureError(f"self-loop at vertex {u}")
+                raise TreeStructureError(f"self-loop at vertex {u}", i)
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise TreeStructureError(f"duplicate edge {key[0]} {key[1]}")
+                raise TreeStructureError(f"duplicate edge {u} {v}", i)
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-            count += 1
-        if count != order - 1:
+        if len(seen) != order - 1:
             raise TreeStructureError(
-                f"a tree on {order} vertices needs {order - 1} edges, got {count}"
+                f"a tree on {order} vertices needs {order - 1} edges, got {len(seen)}"
             )
         # connected + n-1 edges => acyclic
         if len(_walk(adj, 0)[0]) != order:
@@ -274,8 +275,9 @@ def canonical_levels(t: Tree) -> tuple[int, ...]:
 def parse_edge_list(text: str) -> Tree:
     """Parse the plain edge-list format: first line n, then n-1 lines "u v".
 
-    Diagnostics carry 1-based line numbers; structural problems (cycles,
-    disconnection) surface as TreeStructureError from validation.
+    It checks only the text, before any O(n) work; ``Tree.from_edges`` judges
+    the edges, and its range, self-loop and duplicate errors come back as
+    EdgeListParseError at the edge's 1-based line.
     """
     lines = text.split("\n")
     if not lines or not lines[0].strip():
@@ -289,7 +291,6 @@ def parse_edge_list(text: str) -> Tree:
     if n < 1:
         raise EdgeListParseError(f"line 1: vertex count must be positive, got {n}", line=1)
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     for k in range(n - 1):
         lineno = k + 2
         if k + 1 >= len(lines):
@@ -302,43 +303,28 @@ def parse_edge_list(text: str) -> Tree:
                 f"line {lineno}: expected 'u v', got {lines[k + 1]!r}", line=lineno
             )
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise EdgeListParseError(
                 f"line {lineno}: vertex ids must be integers, got {lines[k + 1]!r}",
                 line=lineno,
             ) from None
-        if u == v:
-            raise EdgeListParseError(f"line {lineno}: self-loop {u} {v}", line=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(
-                f"line {lineno}: vertex out of range [0, {n}) in '{u} {v}'",
-                line=lineno,
-            )
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListParseError(
-                f"line {lineno}: duplicate edge {u} {v}", line=lineno
-            )
-        seen.add(key)
-        edges.append((u, v))
     for extra in range(n, len(lines)):
         if lines[extra].strip():
             raise EdgeListParseError(
                 f"line {extra + 1}: unexpected content after {n - 1} edges",
                 line=extra + 1,
             )
-    return Tree.from_edges(n, edges)
+    try:
+        return Tree.from_edges(n, edges)
+    except TreeStructureError as exc:
+        if exc.edge is None:
+            raise
+        line = exc.edge + 2
+        raise EdgeListParseError(f"line {line}: {exc}", line=line) from None
 
 
-def format_edge_list(t: Tree) -> str:
-    """Render the edge-list format, edges sorted, LF-terminated."""
-    out = [str(t.order)]
-    out.extend(f"{u} {v}" for u, v in t.edges())
-    return "\n".join(out) + "\n"
-
-
-# Numeral tables of format_levels_edge_list: ("i " for each i, "i\n" for
+# Numeral tables of the two edge-list formatters: ("i " for each i, "i\n" for
 # each i), up to the largest order printed so far.  A grown pair replaces the
 # old one whole, so a reader never sees a half-grown table.
 _numeral_tables: tuple[list[str], list[str]] = ([], [])
@@ -351,6 +337,13 @@ def _numerals(n: int) -> tuple[list[str], list[str]]:
         grown = range(max(n + 1, 2 * len(_numeral_tables[1])))
         _numeral_tables = [f"{i} " for i in grown], [f"{i}\n" for i in grown]
     return _numeral_tables
+
+
+def format_edge_list(t: Tree) -> str:
+    """Render the edge-list format, edges sorted, LF-terminated, joined from
+    the numeral tables."""
+    sp, nl = _numerals(t.order)
+    return nl[t.order] + "".join([sp[u] + nl[v] for u, v in t.edges()])
 
 
 def format_levels_edge_list(levels: Sequence[int]) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 import sombor_trees
 from sombor_trees import _kernels
 from sombor_trees._kernels import pure
-from sombor_trees.cli import main
+from sombor_trees.cli import build_parser, main
 
 from conftest import bind_backend
 
@@ -60,6 +60,7 @@ def test_every_function_in_src_serves_a_subcommand(tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     Path("bicentral.txt").write_text("4\n0 1\n1 2\n2 3\n")
     Path("malformed.txt").write_text("3\n0 1\n")
+    Path("not_a_tree.txt").write_text("3\n1 1\n0 2\n")
     runs = [
         "verify --n-max 6 --jobs 1 --csv verify.csv",
         "table --n-max 5 --output table.csv",
@@ -68,12 +69,14 @@ def test_every_function_in_src_serves_a_subcommand(tmp_path, monkeypatch, capsys
         "enumerate --n 6 --alpha 4",
         "compute --input bicentral.txt",
         "compute --input malformed.txt",
+        "compute --input not_a_tree.txt",
     ]
+    build_parser.cache_clear()  # so that the parser is built inside the trace
     called = set()  # the code of every Python frame that ran
     previous = sys.getprofile()
     sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
     try:
-        assert [main(run.split()) for run in runs] == [0, 0, 0, 0, 0, 0, 2]
+        assert [main(run.split()) for run in runs] == [0, 0, 0, 0, 0, 0, 2, 2]
     finally:
         sys.setprofile(previous)
     reached = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in called}

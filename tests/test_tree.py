@@ -78,6 +78,24 @@ class TestConstruction:
         with pytest.raises(TreeStructureError, match=r"edge \(0, 3\) out of range"):
             Tree.from_edges(3, [(0, 1), (0, 3)])
 
+    @pytest.mark.parametrize(
+        "order, edges, edge",
+        [
+            (4, [(0, 1), (1, 2), (2, 9)], 2),
+            (4, [(0, 1), (3, 3), (1, 2)], 1),
+            (4, [(0, 1), (1, 2), (2, 1)], 2),
+            (0, [], None),
+            (4, [(0, 1), (1, 2)], None),
+            (3, [(0, 1), (1, 2), (2, 0)], None),
+            (4, [(0, 1), (1, 2), (2, 0)], None),
+        ],
+        ids=["range", "loop", "duplicate", "order", "count", "cycle", "disconnected"],
+    )
+    def test_error_records_the_bad_edge(self, order, edges, edge):
+        with pytest.raises(TreeStructureError) as info:
+            Tree.from_edges(order, edges)
+        assert info.value.edge == edge
+
     def test_equal_trees_hash_equal(self):
         a = Tree.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         b = Tree.from_edges(4, [(3, 2), (2, 1), (1, 0)])
