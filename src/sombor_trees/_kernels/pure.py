@@ -5,7 +5,7 @@ root at level 0 and children laid out in non-increasing lexicographic order
 of their subsequences.  Canonical rooted sequences follow one another in
 strictly decreasing lexicographic order by the classic chop-and-replicate
 successor, ``_successor``; a free tree keeps the one center-rooted
-representative that ``_free_check`` accepts.  The one walk, ``_walk``, skips
+representative that ``tree._free_check`` accepts.  The one walk, ``_walk``, skips
 invalid blocks by forcing the successor at the end of the first root subtree
 and, when that leaves the root a single deep child, by resetting the tail to
 a path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from ..tree import _free_check, _level_parents
+from ..tree import _level_parents
 
 BACKEND = "pure"
 

@@ -11,8 +11,8 @@ Family vocabulary (fixed by the CLI output format):
           this is the unique Sombor maximizer.
 * Other - everything else.
 
-The families are read off the star core: ``star_core`` takes the split of
-``tree.core_split`` and gives the hub and each core vertex's pendants.
+The families are read off the star core: ``star_core`` reads the split of
+``tree.core_split`` once, and ``_classified`` hands it on with the class.
 """
 
 from __future__ import annotations
@@ -89,21 +89,35 @@ def closed_form_max(order: int, alpha: int) -> float:
     )
 
 
-def star_core(t: Tree) -> tuple[int, dict[int, tuple[int, ...]]] | None:
-    """The star core of a tree of order >= 3: (hub, {core vertex: its
-    pendants}) over the non-pendant vertices, or None when they do not induce
-    a star.
-
-    The hub is the core vertex of largest core degree.  On a two-vertex core
-    it is the end with more pendants, the smaller id on a tie.
-    """
+def star_core(t: Tree) -> tuple[int, dict]:
+    """The core of a tree of order >= 3, read once: (hub, ``core_split(t)``).
+    The hub is the core vertex of largest core degree, on a two-vertex core
+    the end with more pendants, the smaller id on a tie.  The core is a star
+    exactly when the hub is adjacent to every other core vertex."""
     if t.order < 3:
         raise ValueError("needs a tree of order >= 3")
     split = core_split(t)
-    hub = min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w))
-    if len(split[hub][1]) != len(split) - 1:
-        return None
-    return hub, {w: pendants for w, (pendants, _) in split.items()}
+    return min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w)), split
+
+
+def _classified(t: Tree) -> tuple[TreeClass, int, dict]:
+    """classify(t) with the core it was read from: (class, hub, split) as
+    star_core gives them, (Star, -1, {}) at order <= 2.  The moves take the
+    split from here, so a move reads the core once."""
+    if t.order <= 2:
+        return TreeClass.STAR, -1, {}
+    hub, split = star_core(t)
+    pendants, others = split[hub]
+    if len(others) != len(split) - 1:
+        return TreeClass.OTHER, hub, split
+    if not others:
+        return TreeClass.STAR, hub, split
+    # every non-hub core vertex is a core leaf, so it carries a pendant
+    if not pendants:
+        return TreeClass.T2, hub, split
+    if all(len(split[w][0]) == 1 for w in others):
+        return TreeClass.TSTAR, hub, split
+    return TreeClass.T1, hub, split
 
 
 def classify(t: Tree) -> TreeClass:
@@ -113,20 +127,7 @@ def classify(t: Tree) -> TreeClass:
     when the non-hub vertices carry exactly one pendant each); a bare hub
     makes it T2, never at alpha = n/2.  Anything with a non-star core is Other.
     """
-    if t.order <= 2:
-        return TreeClass.STAR
-    core = star_core(t)
-    if core is None:
-        return TreeClass.OTHER
-    hub, pendants = core
-    if len(pendants) == 1:
-        return TreeClass.STAR
-    # every non-hub core vertex is a core leaf, so it carries a pendant
-    if pendants[hub]:
-        if all(len(p) == 1 for w, p in pendants.items() if w != hub):
-            return TreeClass.TSTAR
-        return TreeClass.T1
-    return TreeClass.T2
+    return _classified(t)[0]
 
 
 def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:

@@ -5,12 +5,13 @@ Each operation mirrors one of the local moves used to push an arbitrary tree
 toward the extremal one: re-homing a batch of neighbors from a donor vertex
 to a receiver, swapping the far endpoints of two edges, and the composite
 case moves driven by a maximum-distance pair of support vertices in the
-pendant-stripped core.  Every move learns which neighbors are pendants and
-which are core from ``tree.core_split``.  Every rewiring builds its result
-through ``_rewire``: ``Tree.from_edges`` judges tree-ness, and the move only
-names itself in the error.  Other preconditions are verified structurally;
-the SO-increase and alpha-preservation claims are left to the property
-tests, which sweep every applicable tree exhaustively at small orders.
+pendant-stripped core.  A move reads the core once, from
+``extremal._classified``; the support pair's walk gives the path ends.
+Every rewiring builds its result through ``_rewire``: ``Tree.from_edges``
+judges tree-ness, and the move only names itself in the error.  Other
+preconditions are verified structurally; the SO-increase and
+alpha-preservation claims are left to the property tests, which sweep every
+applicable tree exhaustively at small orders.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
-from .extremal import TreeClass, classify, star_core
-from .tree import Tree, core_split, distances_from, tree_path
+from .extremal import TreeClass, _classified
+from .tree import Tree, _walk, core_split
 
 
 @dataclass(frozen=True)
@@ -85,46 +86,44 @@ def swap_endpoints(t: Tree, u: int, x: int, v: int, y: int) -> Tree:
 
 def select_support_pair(t: Tree) -> tuple[int, int]:
     """Two support vertices of the pendant-stripped core at maximum distance
-    within the core; ties broken by the smallest id pair.
-
-    The core is a subtree of t, so distances in t are distances in the core.
-    """
+    within the core; ties broken by the smallest id pair."""
     if t.order < 3:
         raise ValueError("needs a tree of order >= 3")
     split = core_split(t)
     if len(split) < 2:
-        raise PreconditionError(
-            "stripped tree is a single vertex; no support pair exists"
-        )
+        raise PreconditionError("stripped tree is a single vertex; no support pair exists")
+    return _support_pair(t, split)[:2]
+
+
+def _support_pair(t: Tree, split: dict) -> tuple[int, int, int, int]:
+    """select_support_pair's (u, v) with x and y, their neighbours on the path
+    between them.  Distances in t are distances in the core, a subtree of t.
+    Only u's walk is kept: it gives y as v's parent, and x by a climb from v."""
     # a core leaf has one core neighbor: its support in the core
     supports = sorted({core[0] for _, core in split.values() if len(core) == 1})
     if len(supports) < 2:
-        raise PreconditionError(
-            "stripped tree has fewer than 2 support vertices"
-        )
-    _, u, v = min(
-        (-dist[b], a, b)
-        for a in supports
-        for dist in [distances_from(t, a)]
-        for b in supports
-        if b > a
+        raise PreconditionError("stripped tree has fewer than 2 support vertices")
+    _, u, v, to_u = min(
+        (-depth[b], a, b, parent)
+        for a in supports for _, parent, depth in [_walk(t.adjacency, a)]
+        for b in supports if b > a
     )
-    return u, v
+    x = v
+    while to_u[x] != u:
+        x = to_u[x]
+    return u, v, x, to_u[v]
 
 
 def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
     """The case move around the maximum-distance support pair (u, v), whose
     path neighbors toward each other are x and y: (tag, swap, shift), where
     swap is the swap_endpoints(u, x, v, y) to make first, or None."""
-    label = classify(t)
+    label, _, split = _classified(t)
     if label is not TreeClass.OTHER:
         raise PreconditionError(
             f"case moves expect a tree outside the star families; got {label.value}"
         )
-    u, v = select_support_pair(t)
-    path = tree_path(t, u, v)
-    x, y = path[1], path[-2]
-    split = core_split(t)
+    u, v, x, y = _support_pair(t, split)
 
     def heavy(w: int, toward: int) -> tuple[int, ...]:
         return tuple(z for z in split[w][1] if z != toward)
@@ -165,12 +164,20 @@ def apply_lemma1_case(t: Tree) -> Tree:
     return shift_neighbors(t, shift)
 
 
-def _unload_to_hub(t: Tree, keep: int) -> Tree:
+def _unload(t: Tree, expected: TreeClass, keep: int) -> Optional[Tree]:
     """Move all but `keep` pendants of the first core leaf that carries more
-    than `keep` onto the hub of the star core."""
-    hub, pendants = star_core(t)
-    leaf = min(w for w, p in pendants.items() if w != hub and len(p) > keep)
-    return shift_neighbors(t, ShiftSpec(leaf, hub, pendants[leaf][keep:]))
+    than `keep` onto the hub of a tree that classify puts in `expected`: a T2
+    leaf carries one, and a T1 tree short of TStar has a leaf with two.  A T1
+    step returns None on TStar."""
+    label, hub, split = _classified(t)
+    if label is TreeClass.TSTAR and expected is TreeClass.T1:
+        return None
+    if label is not expected:
+        raise PreconditionError(
+            f"expected a {expected.value} tree, classify gave {label.value}"
+        )
+    leaf = min(w for w in split[hub][1] if len(split[w][0]) > keep)
+    return shift_neighbors(t, ShiftSpec(leaf, hub, split[leaf][0][keep:]))
 
 
 def apply_lemma2_step(t: Tree) -> Tree:
@@ -178,10 +185,7 @@ def apply_lemma2_step(t: Tree) -> Tree:
 
     The result lands in T1 with a strictly larger Sombor index.
     """
-    label = classify(t)
-    if label is not TreeClass.T2:
-        raise PreconditionError(f"expected a T2 tree, classify gave {label.value}")
-    return _unload_to_hub(t, 0)
+    return _unload(t, TreeClass.T2, 0)
 
 
 def apply_theorem_step(t: Tree) -> Optional[Tree]:
@@ -189,10 +193,4 @@ def apply_theorem_step(t: Tree) -> Optional[Tree]:
     hub.  Returns None when the tree is already the maximizer (TStar); each
     step strictly lowers the surplus pendant count, so iteration terminates.
     """
-    label = classify(t)
-    if label is TreeClass.TSTAR:
-        return None
-    if label is not TreeClass.T1:
-        raise PreconditionError(f"expected a T1 tree, classify gave {label.value}")
-    # a core leaf carries >= 2 pendants: the tree is T1 but not TStar
-    return _unload_to_hub(t, 1)
+    return _unload(t, TreeClass.T1, 1)

@@ -204,24 +204,6 @@ class Tree:
         return f"Tree(order={self.order}, edges={list(self.edges())})"
 
 
-def tree_path(t: Tree, u: int, v: int) -> list[int]:
-    """Vertex sequence of the unique u-v path (inclusive)."""
-    t._check_vertex(u)
-    t._check_vertex(v)
-    parent = _walk(t.adjacency, v)[1]
-    path = [u]
-    while u != v:
-        u = parent[u]
-        path.append(u)
-    return path
-
-
-def distances_from(t: Tree, u: int) -> list[int]:
-    """Edge count of the path from u to each vertex, indexed by vertex."""
-    t._check_vertex(u)
-    return _walk(t.adjacency, u)[2]
-
-
 def core_split(t: Tree) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """{w: (pendants, core neighbors)} for every core vertex w, the vertices of
     degree >= 2; both tuples in increasing order.  The core is the subtree

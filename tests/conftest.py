@@ -1,8 +1,9 @@
 """Shared helpers: the compiled-backend fixture and backend binding, cached
 enumeration sweeps, and the independent references the package leaves to the
-tests: the rooted stream and its free-check filter, Prüfer decoding, the
-isomorphism-class interner with automorphism counts, the subset-sweep
-independence oracle, and the paper's test-only trees, sets and inequalities."""
+tests: the rooted stream and its free-check filter, the path and distance
+queries, Prüfer decoding, the isomorphism-class interner with automorphism
+counts, the subset-sweep independence oracle, and the paper's test-only
+trees, sets and inequalities."""
 
 import heapq
 import importlib.util
@@ -21,7 +22,7 @@ from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import InfeasibleParamsError, SizeLimitError
 from sombor_trees.extremal import ExtremalParams, _star_with_pendants
-from sombor_trees.tree import Tree, canonical_levels, distances_from
+from sombor_trees.tree import Tree, _free_check, _walk, canonical_levels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,7 +89,7 @@ def filtered_rooted_stream(n):
     """The free-tree stream's reference: every canonical rooted sequence of
     order n that the free check accepts, in rooted-stream order.  Both
     generators and the compiled filter mode must yield exactly this."""
-    return [L for L in iter_rooted_level_sequences(n) if pure._free_check(L)[0]]
+    return [L for L in iter_rooted_level_sequences(n) if _free_check(L)[0]]
 
 
 @lru_cache(maxsize=None)
@@ -396,6 +397,24 @@ def support_vertex(t: Tree, pendant: int) -> int:
     if t.degree(pendant) != 1:
         raise ValueError(f"vertex {pendant} has degree {t.degrees[pendant]}, not 1")
     return t.adjacency[pendant][0]
+
+
+def tree_path(t: Tree, u: int, v: int) -> list[int]:
+    """Vertex sequence of the unique u-v path (inclusive)."""
+    t._check_vertex(u)
+    t._check_vertex(v)
+    parent = _walk(t.adjacency, v)[1]
+    path = [u]
+    while u != v:
+        u = parent[u]
+        path.append(u)
+    return path
+
+
+def distances_from(t: Tree, u: int) -> list[int]:
+    """Edge count of the path from u to each vertex, indexed by vertex."""
+    t._check_vertex(u)
+    return _walk(t.adjacency, u)[2]
 
 
 def distance(t: Tree, u: int, v: int) -> int:

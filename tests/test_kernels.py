@@ -17,7 +17,7 @@ import pytest
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.invariants import sombor_index
-from sombor_trees.tree import Tree
+from sombor_trees.tree import Tree, _free_check
 
 from conftest import (
     ROOT,
@@ -149,11 +149,11 @@ class TestPureKernels:
         def counting(L, p):
             nonlocal visited
             visited += 1
-            valid, m = free_check(L)
+            valid, m = _free_check(L)
             assert p == (None if valid else m - 1), (L, p, valid, m)
             return successor(L, p)
 
-        free_check, successor = pure._free_check, pure._successor
+        successor = pure._successor
         monkeypatch.setattr(pure, "_successor", counting)
         for n in range(12, 19):
             visited = 0

@@ -18,8 +18,6 @@ PACKAGE = Path(sombor_trees.__file__).resolve().parent
 # What no subcommand reaches, by module or module:qualname, and why it stays.
 UNREACHED = {
     "transforms.py": "D10 pending: the proof replay will run every move",
-    "tree.py:tree_path": "D10 pending",
-    "tree.py:distances_from": "D10 pending",
     "tree.py:Tree._check_vertex": "D10 pending",
     "tree.py:Tree.from_level_sequence": "tracer target of perfbench/tracer.py",
     "_kernels/__init__.py:_stream_fold": "compiled fold: the compiled backend's order_fold",

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from sombor_trees import extremal, transforms
 from sombor_trees.errors import PreconditionError, TreeStructureError
 from sombor_trees.extremal import (
     TreeClass,
@@ -18,6 +19,7 @@ from sombor_trees.invariants import (
 )
 from sombor_trees.transforms import (
     ShiftSpec,
+    _support_pair,
     apply_lemma1_case,
     apply_lemma2_step,
     apply_theorem_step,
@@ -26,9 +28,9 @@ from sombor_trees.transforms import (
     shift_neighbors,
     swap_endpoints,
 )
-from sombor_trees.tree import Tree, canonical_levels
+from sombor_trees.tree import Tree, canonical_levels, core_split
 
-from conftest import distance, query_sweep, t1_members, trees_of_order
+from conftest import distance, query_sweep, t1_members, tree_path, trees_of_order
 
 
 def double_star():
@@ -213,6 +215,8 @@ class TestSelectSupportPair:
                 for a, b in combinations(supports, 2)
             )
             assert select_support_pair(t) == (u, v), t
+            path = tree_path(t, u, v)  # x and y, read off the walk from u
+            assert _support_pair(t, core_split(t)) == (u, v, path[1], path[-2]), t
 
 
 class TestCaseMoves:
@@ -381,3 +385,31 @@ class TestExhaustiveSweep:
                     steps += 1
                     assert steps <= n
                 assert canonical_levels(cur) == target
+
+
+class TestCoreReads:
+    def test_each_call_reads_the_core_once(self, monkeypatch):
+        # classify, the case moves and the unload steps take the split from
+        # one core_split call, however many readers the move has
+        trees = [caterpillar_case_11(), spider_222(), t1_8_5_one_loaded_leaf(),
+                 construct_t_star(8, 5)]
+        assert [classify(t) for t in trees] == [
+            TreeClass.OTHER, TreeClass.T2, TreeClass.T1, TreeClass.TSTAR
+        ]
+        other, t2, t1, t_star = trees
+        calls = 0
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return core_split(t)
+
+        for module in (extremal, transforms):
+            monkeypatch.setattr(module, "core_split", counted)
+        runs = [(apply_lemma1_case, other), (lemma1_case_tag, other),
+                (apply_lemma2_step, t2), (apply_theorem_step, t1),
+                (apply_theorem_step, t_star)] + [(classify, t) for t in trees]
+        for move, t in runs:
+            calls = 0
+            move(t)
+            assert calls == 1, (move.__name__, t)

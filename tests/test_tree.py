@@ -14,22 +14,22 @@ from sombor_trees.tree import (
     Tree,
     canonical_levels,
     core_split,
-    distances_from,
     format_edge_list,
     format_levels_edge_list,
     parse_edge_list,
     tree_centers,
-    tree_path,
 )
 
 from conftest import (
     IsoClassInterner,
     distance,
+    distances_from,
     pendant_vertices,
     prufer_to_tree,
     query_sweep,
     random_tree,
     support_vertex,
+    tree_path,
     trees_of_order,
 )
 
