@@ -11,8 +11,8 @@ Family vocabulary (fixed by the CLI output format):
           this is the unique Sombor maximizer.
 * Other - everything else.
 
-The families are read off the star core: ``star_core`` reads the split of
-``tree.core_split`` once, and ``_classified`` hands it on with the class.
+The families are read off the star core: ``_classified`` reads the split of
+``tree.core_split`` once, picks the hub, and hands both on with the class.
 """
 
 from __future__ import annotations
@@ -47,11 +47,9 @@ class ExtremalParams:
 
     def __post_init__(self):
         rng = feasible_alpha_range(self.order)
-        if self.order < 2 or self.alpha not in rng:
-            lo = (self.order + 1) // 2
-            hi = self.order - 1
+        if self.alpha not in rng:
             raise InfeasibleParamsError(
-                f"alpha must be in [{lo}, {hi}] for order {self.order}, "
+                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {self.order}, "
                 f"got alpha={self.alpha}"
             )
 
@@ -89,24 +87,17 @@ def closed_form_max(order: int, alpha: int) -> float:
     )
 
 
-def star_core(t: Tree) -> tuple[int, dict]:
-    """The core of a tree of order >= 3, read once: (hub, ``core_split(t)``).
-    The hub is the core vertex of largest core degree, on a two-vertex core
-    the end with more pendants, the smaller id on a tie.  The core is a star
-    exactly when the hub is adjacent to every other core vertex."""
-    if t.order < 3:
-        raise ValueError("needs a tree of order >= 3")
-    split = core_split(t)
-    return min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w)), split
-
-
 def _classified(t: Tree) -> tuple[TreeClass, int, dict]:
-    """classify(t) with the core it was read from: (class, hub, split) as
-    star_core gives them, (Star, -1, {}) at order <= 2.  The moves take the
-    split from here, so a move reads the core once."""
+    """classify(t) with the core it was read from: (class, hub, split), where
+    split is ``core_split(t)``, or (Star, -1, {}) at order <= 2.  The hub is
+    the core vertex of largest core degree, on a two-vertex core the end with
+    more pendants, the smaller id on a tie; the core is a star exactly when
+    the hub is adjacent to every other core vertex.  The moves take the split
+    from here, so a move reads the core once."""
     if t.order <= 2:
         return TreeClass.STAR, -1, {}
-    hub, split = star_core(t)
+    split = core_split(t)
+    hub = min(split, key=lambda w: (-len(split[w][1]), -len(split[w][0]), w))
     pendants, others = split[hub]
     if len(others) != len(split) - 1:
         return TreeClass.OTHER, hub, split
@@ -121,7 +112,7 @@ def _classified(t: Tree) -> tuple[TreeClass, int, dict]:
 
 
 def classify(t: Tree) -> TreeClass:
-    """Structural family test on the star core (see star_core).
+    """Structural family test on the star core (see _classified).
 
     A core that is a star with every vertex carrying a pendant is T1 (TStar
     when the non-hub vertices carry exactly one pendant each); a bare hub

@@ -105,7 +105,7 @@ def _support_pair(t: Tree, split: dict) -> tuple[int, int, int, int]:
         raise PreconditionError("stripped tree has fewer than 2 support vertices")
     _, u, v, to_u = min(
         (-depth[b], a, b, parent)
-        for a in supports for _, parent, depth in [_walk(t.adjacency, a)]
+        for a in supports[:-1] for _, parent, depth in [_walk(t.adjacency, a)]
         for b in supports if b > a
     )
     x = v

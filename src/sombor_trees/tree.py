@@ -10,6 +10,7 @@ are isomorphic, and it doubles as a dedup key.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EdgeListParseError, TreeStructureError
@@ -262,7 +263,7 @@ def parse_edge_list(text: str) -> Tree:
     EdgeListParseError at the edge's 1-based line.
     """
     lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise EdgeListParseError("line 1: expected the vertex count", line=1)
     try:
         n = int(lines[0].strip())
@@ -306,19 +307,10 @@ def parse_edge_list(text: str) -> Tree:
         raise EdgeListParseError(f"line {line}: {exc}", line=line) from None
 
 
-# Numeral tables of the two edge-list formatters: ("i " for each i, "i\n" for
-# each i), up to the largest order printed so far.  A grown pair replaces the
-# old one whole, so a reader never sees a half-grown table.
-_numeral_tables: tuple[list[str], list[str]] = ([], [])
-
-
+@functools.cache
 def _numerals(n: int) -> tuple[list[str], list[str]]:
-    """The numeral tables, grown (at least doubled) to cover 0..n."""
-    global _numeral_tables
-    if len(_numeral_tables[1]) <= n:
-        grown = range(max(n + 1, 2 * len(_numeral_tables[1])))
-        _numeral_tables = [f"{i} " for i in grown], [f"{i}\n" for i in grown]
-    return _numeral_tables
+    r"""The two edge-list formatters' numeral tables: "i " and "i\n", i = 0..n."""
+    return [f"{i} " for i in range(n + 1)], [f"{i}\n" for i in range(n + 1)]
 
 
 def format_edge_list(t: Tree) -> str:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from sombor_trees import extremal
 from sombor_trees._kernels import pure
 from sombor_trees.errors import InfeasibleParamsError
 from sombor_trees.extremal import (
@@ -14,7 +15,6 @@ from sombor_trees.extremal import (
     closed_form_max,
     construct_t_star,
     feasible_alpha_range,
-    star_core,
     t_star_levels,
 )
 from sombor_trees.invariants import independence_number, sombor_index
@@ -44,6 +44,12 @@ class TestParams:
             ExtremalParams(6, 2)
         with pytest.raises(InfeasibleParamsError):
             ExtremalParams(6, 6)
+        with pytest.raises(InfeasibleParamsError) as exc:
+            ExtremalParams(1, 0)
+        assert str(exc.value) == "alpha must be in [1, 0] for order 1, got alpha=0"
+        with pytest.raises(InfeasibleParamsError) as exc:
+            ExtremalParams(0, 0)
+        assert str(exc.value) == "alpha must be in [0, -1] for order 0, got alpha=0"
 
 
 class TestConstruction:
@@ -150,9 +156,8 @@ class TestClassify:
             assert classify(Tree.star(n)) is TreeClass.STAR
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_star_core_rejects_order_below_3(self, order):
-        with pytest.raises(ValueError, match="needs a tree of order >= 3"):
-            star_core(Tree.path(order))
+    def test_orders_below_3_classify_as_star(self, order):
+        assert extremal._classified(Tree.path(order)) == (TreeClass.STAR, -1, {})
         assert classify(Tree.path(order)) is TreeClass.STAR
 
     def test_path_6_is_other(self):

@@ -410,9 +410,9 @@ class TestEdgeListFormat:
         assert format_levels_edge_list((0,)) == "1\n"
         assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
 
-    def test_levels_rendering_beyond_the_stream_orders(self, monkeypatch):
-        # from empty numeral tables: orders that grow them, then smaller ones
-        monkeypatch.setattr(tree_module, "_numeral_tables", ([], []))
+    def test_levels_rendering_beyond_the_stream_orders(self):
+        # from an empty numeral cache: rising orders, then falling ones
+        tree_module._numerals.cache_clear()
         rng = random.Random(15)
         orders = [*range(15, 301, 19), *range(300, 14, -23)]
         for n in orders:
@@ -420,7 +420,7 @@ class TestEdgeListFormat:
             assert format_levels_edge_list(levels) == format_edge_list(
                 Tree.from_level_sequence(levels)
             ), n
-        assert len(tree_module._numeral_tables[1]) > max(orders)
+        assert len(tree_module._numerals(max(orders))[1]) == max(orders) + 1
 
     @pytest.mark.parametrize("levels", [(), (1, 0), (0, 2)])
     def test_bad_level_sequence_rejected(self, levels):
