@@ -48,10 +48,11 @@ class ExtremalParams:
     def __post_init__(self):
         rng = feasible_alpha_range(self.order)
         if self.alpha not in rng:
-            raise InfeasibleParamsError(
-                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {self.order}, "
-                f"got alpha={self.alpha}"
+            reason = (
+                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {self.order}"
+                if rng else f"order {self.order} has no feasible alpha"
             )
+            raise InfeasibleParamsError(f"{reason}, got alpha={self.alpha}")
 
 
 def construct_t_star(order: int, alpha: int) -> Tree:

@@ -5,12 +5,14 @@ Each order's enumeration stream is walked once and folded into every
 value, how many isomorphism classes attain it exactly, the first of them, and
 the runner-up value.  The stream yields one canonical level sequence per
 isomorphism class, so a cell passes when the brute-force maximum matches the
-closed form within SO_TOL, its only maximizing sequence is the extremal
-tree's, and every other tree lies more than SO_TOL below it.  Orders are
-independent, so they optionally fan out to a process pool; the merged report
-is sorted and byte-stable.  The pool is imported only when ``jobs > 1``
-starts one, so a serial run never loads ``concurrent.futures`` or
-``multiprocessing``.
+closed form within a proven rounding bound, its only maximizing sequence is
+the extremal tree's, and every other tree lies more than twice that bound
+below it.  No exact tie hides: by Besicovitch (1940) it needs equal
+square-free radicand vectors, and one that rounds apart leaves a margin below
+the bound, so its cell fails.  Orders are independent, so they optionally fan
+out to a process pool; the merged report is sorted and byte-stable.  The pool
+is imported only when ``jobs > 1`` starts one, so a serial run never loads
+``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,18 @@ from .extremal import closed_form_max, feasible_alpha_range, t_star_levels
 
 DEFAULT_VERIFY_CAP = 16
 
-# Comparisons between sums of edge square roots use this absolute tolerance.
-SO_TOL = 1e-9
+
+def _float_error(n: int, s: float) -> float:
+    """Higham's bound (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2) on the rounding error of s, an order-n Sombor sum computed as
+    n-1 correctly rounded square roots of exact integer radicands added in
+    vertex order, as both backends do (the C build takes no -ffast-math):
+    gamma_n*|s|, with gamma_k = k*u/(1 - k*u) and u = 2**-53.  The closed form
+    rounds at most 4 times on any path; the slack up to gamma_{n+4} absorbs the
+    subtraction that forms margin_to_second.  The bound grows with |s|, so the
+    best's covers the runner-up's."""
+    ku = (n + 4) * 2.0**-53
+    return ku / (1 - ku) * abs(s)
 
 
 @dataclass(frozen=True)
@@ -44,14 +56,15 @@ class ExtremalRecord:
 
     @property
     def formula_matches(self) -> bool:
-        return abs(self.closed_form - self.brute_force_max) <= SO_TOL
+        c, b = self.closed_form, self.brute_force_max
+        return abs(c - b) <= _float_error(self.order, c) + _float_error(self.order, b)
 
     @property
     def passed(self) -> bool:
         return (
             self.formula_matches
             and self.maximizer_count == 1
-            and self.margin_to_second > SO_TOL
+            and self.margin_to_second > 2 * _float_error(self.order, self.brute_force_max)
             and self.maximizer_levels == t_star_levels(self.order, self.alpha)
         )
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from sombor_trees.extremal import (
     t_star_levels,
 )
 from sombor_trees.invariants import independence_number, sombor_index
-from sombor_trees.tree import Tree, canonical_levels
+from sombor_trees.tree import Tree, _level_parents, canonical_levels
 
 from conftest import (
     IsoClassInterner,
@@ -46,10 +47,10 @@ class TestParams:
             ExtremalParams(6, 6)
         with pytest.raises(InfeasibleParamsError) as exc:
             ExtremalParams(1, 0)
-        assert str(exc.value) == "alpha must be in [1, 0] for order 1, got alpha=0"
+        assert str(exc.value) == "order 1 has no feasible alpha, got alpha=0"
         with pytest.raises(InfeasibleParamsError) as exc:
             ExtremalParams(0, 0)
-        assert str(exc.value) == "alpha must be in [0, -1] for order 0, got alpha=0"
+        assert str(exc.value) == "order 0 has no feasible alpha, got alpha=0"
 
 
 class TestConstruction:
@@ -141,6 +142,21 @@ class TestClosedForm:
     def test_infeasible_params_rejected(self):
         with pytest.raises(InfeasibleParamsError):
             closed_form_max(6, 2)
+
+    def test_closed_form_terms_are_t_star_radicands_to_40(self):
+        # exact in integers: the closed form is T*'s Sombor sum term by term,
+        # so verify's formula check only tests float consistency
+        for n in range(2, 41):
+            for a in feasible_alpha_range(n):
+                parents = _level_parents(t_star_levels(n, a))
+                deg = Counter(parents[1:]) + Counter(range(1, n))
+                radicands = Counter(deg[v] ** 2 + deg[parents[v]] ** 2 for v in range(1, n))
+                terms = (
+                    Counter({a * a + 1: 2 * a - n + 1})
+                    + Counter({a * a + 4: n - a - 1})
+                    + Counter({5: n - a - 1})
+                )
+                assert radicands == terms, (n, a)
 
 
 class TestClassify:

@@ -15,14 +15,14 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from sombor_trees._kernels import pure
-from sombor_trees import cli
+from sombor_trees import _kernels, cli
 from sombor_trees.cli import main
 from sombor_trees.errors import SizeLimitError, WorkerError
 from sombor_trees.extremal import construct_t_star
 from sombor_trees.tree import Tree, format_edge_list
 from sombor_trees.verify import (
-    SO_TOL,
     VerificationReport,
+    _float_error,
     render_text,
     to_csv,
     verify,
@@ -104,19 +104,63 @@ class TestVerifyDriver:
         assert rec.passed
         wrong_value = dataclasses.replace(rec, closed_form=rec.closed_form + 1.0)
         wrong_tree = dataclasses.replace(rec, maximizer_levels=(0, 1, 2, 3, 1, 2))  # P6
-        near_tie = dataclasses.replace(rec, margin_to_second=SO_TOL / 2)
+        near_tie = dataclasses.replace(
+            rec, margin_to_second=_float_error(rec.order, rec.brute_force_max) / 2
+        )
         exact_tie = dataclasses.replace(rec, maximizer_count=2)
         for bad in (wrong_value, wrong_tree, near_tie, exact_tie):
             assert not bad.passed
             assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
 
-    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
-    def test_verdict_does_not_depend_on_so_tol(self, monkeypatch, tol):
+    def test_exact_tie_that_rounds_apart_fails_safe(self, monkeypatch, capsys):
+        # two classes of equal exact Sombor index whose sums round one ulp
+        # apart: a single maximizer, and a margin far below the bound
+        real = _kernels.order_fold
+
+        def fold(order):
+            cells = real(order)
+            size, best, _, _, first = cells[4]
+            cells[4] = (size, best, math.nextafter(best, -math.inf), 1, first)
+            return cells
+
+        monkeypatch.setattr(_kernels, "order_fold", fold)
+        (rec,) = [r for r in verify(6, 6).records if r.alpha == 4]
+        assert rec.formula_matches and rec.maximizer_count == 1
+        assert rec.margin_to_second > 0
+        assert not rec.passed
+        assert main(["verify", "--n-min", "6", "--n-max", "6"]) == 1
+        assert "overall: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1e-1, 1e3])
+    def test_verdict_does_not_hang_on_the_bound(self, monkeypatch, scale):
         default = to_csv(verify(2, 14))
         # the package's attribute verify is the function, not the module
         module = importlib.import_module("sombor_trees.verify")
-        monkeypatch.setattr(module, "SO_TOL", tol)
+        monkeypatch.setattr(module, "_float_error", lambda n, s: scale * _float_error(n, s))
         assert to_csv(verify(2, 14)) == default
+
+    def test_a_bound_below_the_closed_forms_rounding_fails_only_those_cells(
+        self, monkeypatch
+    ):
+        # closed and brute differ by up to 8.4% of the bound at n <= 14; cut
+        # to 1e-3 of it, the bound fails exactly the cells where they differ,
+        # and every margin still clears it
+        report = verify(2, 14)
+        gaps = {(r.order, r.alpha) for r in report.records if r.closed_form != r.brute_force_max}
+        assert gaps and report.overall
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "_float_error", lambda n, s: 1e-3 * _float_error(n, s))
+        failed = {(r.order, r.alpha) for r in report.records if not r.passed}
+        assert failed == gaps
+
+    def test_reference_margins_clear_the_bound_by_far(self):
+        # the benchmark's reference table (n <= 20), read, never written
+        text = (ROOT / "perfbench" / "reference" / "verify.csv").read_text(encoding="utf-8")
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        finite = [(int(r[0]), float(r[4]), float(r[6])) for r in rows if r[6] != "inf"]
+        assert len(rows) == 100 and finite
+        for n, best, margin in finite:
+            assert margin >= 1e12 * 2 * _float_error(n, best), (n, best, margin)
 
 
 class TestCsv:
