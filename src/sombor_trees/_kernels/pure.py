@@ -20,9 +20,10 @@ the greedy matching's counts across trees, and redoes them only from the
 first index the walk changed and on that index's ancestors.  It sums the
 Sombor index in full, in vertex order, and copies a sequence only when it
 sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
-from scratch for one sequence; it decodes the sequence with the one checked
-decoder, ``tree._level_parents``, while ``order_fold`` keeps its own
-incremental decode on the hot path.
+from scratch for one sequence; it decodes the sequence with the checked
+decoder ``tree._level_parents``, as ``Tree.from_level_sequence`` does, while
+``order_fold`` keeps its own incremental decode on the hot path and
+``tree.format_levels_edge_list`` its own checked pass.
 
 The compiled backend mirrors the generator and the stats function for
 function, including the floating-point accumulation order, so both produce

@@ -18,7 +18,9 @@ from .errors import EdgeListParseError, TreeStructureError
 
 def _level_parents(levels: Sequence[int]) -> list[int]:
     """Parent of each vertex of a preorder depth sequence starting at level 0;
-    the root's entry is -1.  Every parent precedes its children."""
+    the root's entry is -1.  Every parent precedes its children.
+    ``format_levels_edge_list`` makes the same checks, with the same messages,
+    in its own pass."""
     n = len(levels)
     if n < 1:
         raise ValueError("empty level sequence")
@@ -307,9 +309,10 @@ def parse_edge_list(text: str) -> Tree:
         raise EdgeListParseError(f"line {line}: {exc}", line=line) from None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _numerals(n: int) -> tuple[list[str], list[str]]:
-    r"""The two edge-list formatters' numeral tables: "i " and "i\n", i = 0..n."""
+    r"""The two edge-list formatters' numeral tables: "i " and "i\n", i = 0..n.
+    Only the latest order's tables are kept; a run prints one order."""
     return [f"{i} " for i in range(n + 1)], [f"{i}\n" for i in range(n + 1)]
 
 
@@ -323,12 +326,30 @@ def format_edge_list(t: Tree) -> str:
 def format_levels_edge_list(levels: Sequence[int]) -> str:
     """``format_edge_list(Tree.from_level_sequence(levels))``, without the Tree.
 
-    Every parent precedes its children, so the edges (parent[v], v) ordered
-    by parent, children in increasing order, are exactly ``Tree.edges()``.
-    The lines are joined from the numeral tables, not formatted per record.
+    One pass decodes the sequence with ``_level_parents``'s checks and files
+    each edge line "p i" under its parent p.  ``Tree.edges()`` lists the edges
+    by their smaller end, then the larger; every parent precedes its children,
+    so that is by parent, and vertices are met in increasing order, so each
+    bucket already holds its children in increasing order.  Joining the
+    buckets in parent order gives those bytes with no sort.  Each bucket is a
+    string grown by concatenation, so a vertex of degree d costs O(d^2)
+    character copies, negligible at the stream's orders.
     """
-    parents = _level_parents(levels)
-    n = len(parents)
+    n = len(levels)
+    if n < 1:
+        raise ValueError("empty level sequence")
+    if levels[0] != 0:
+        raise ValueError("level sequence must start with 0")
     sp, nl = _numerals(n)
-    children = sorted(range(1, n), key=parents.__getitem__)
-    return nl[n] + "".join([sp[parents[v]] + nl[v] for v in children])
+    lines = [nl[n]] + [""] * n
+    last_at = [0] * (n + 1)
+    prev = 0
+    for i in range(1, n):
+        li = levels[i]
+        if not 1 <= li <= prev + 1:
+            raise ValueError(f"level jump at position {i}")
+        p = last_at[li - 1]
+        lines[p + 1] += sp[p] + nl[i]
+        last_at[li] = i
+        prev = li
+    return "".join(lines)

@@ -422,12 +422,41 @@ class TestEdgeListFormat:
             ), n
         assert len(tree_module._numerals(max(orders))[1]) == max(orders) + 1
 
-    @pytest.mark.parametrize("levels", [(), (1, 0), (0, 2)])
+    def test_levels_rendering_of_non_canonical_sequences(self):
+        # any valid sequence, not only the stream's: L[i] uniform in 1..L[i-1]+1
+        rng = random.Random(22)
+        for n in range(1, 81):
+            for _ in range(4):
+                levels = [0]
+                for _ in range(n - 1):
+                    levels.append(rng.randint(1, levels[-1] + 1))
+                assert format_levels_edge_list(levels) == format_edge_list(
+                    Tree.from_level_sequence(levels)
+                ), levels
+
+    def test_numeral_cache_keeps_one_order(self):
+        for n in range(1, 401):
+            format_levels_edge_list(tuple(range(n)))
+        assert tree_module._numerals.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "levels",
+        [(), (1, 0), (0, 2), (1,), (0, 0), (0, -1), (0, 1, 3), (0, 1, 2, 1, 3)],
+    )
     def test_bad_level_sequence_rejected(self, levels):
-        with pytest.raises(ValueError):
-            format_levels_edge_list(levels)
-        with pytest.raises(ValueError):
-            Tree.from_level_sequence(levels)
+        # format_levels_edge_list checks in its own pass; the others decode
+        # through _level_parents: all four must agree on the message
+        messages = set()
+        for decode in (
+            format_levels_edge_list,
+            tree_module._level_parents,
+            Tree.from_level_sequence,
+            pure.tree_stats_from_levels,
+        ):
+            with pytest.raises(ValueError) as info:
+                decode(levels)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
 
     def test_self_loop_reports_line(self):
         with pytest.raises(EdgeListParseError, match="line 2: self-loop") as info:
