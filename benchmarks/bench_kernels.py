@@ -9,8 +9,8 @@ compiled kernels, which is how the compiled backend folds until it exports
 its own.  Outside the timed region it checks that both backends drain the
 same stream, by a sha256 over each order's sequences, and that the two folds
 agree.  Then it times the ``enumerate`` command's work without its writes:
-``enumerate_family(17, 11)``, each record rendered by
-``format_levels_edge_list``.  Run from an installed checkout:
+``enumerate_family(17, 11)``, rendered by ``format_levels_edge_lists``.
+Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
 
@@ -25,7 +25,7 @@ from contextlib import contextmanager
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.enumeration import enumerate_family
-from sombor_trees.tree import format_levels_edge_list
+from sombor_trees.tree import format_levels_edge_lists
 
 try:
     from sombor_trees._kernels import _speedups as compiled
@@ -81,7 +81,7 @@ def time_family(mod, n, alpha, repeat):
     with bound(mod):
         for _ in range(repeat):
             start = time.perf_counter()
-            text = "".join(map(format_levels_edge_list, enumerate_family(n, alpha)))
+            text = "".join(format_levels_edge_lists(enumerate_family(n, alpha)))
             best = min(best, time.perf_counter() - start)
     return best, text
 
@@ -116,7 +116,7 @@ def main():
         print(row)
 
     n, alpha = FAMILY
-    row = f"enumerate_family{FAMILY} + format_levels_edge_list:"
+    row = f"enumerate_family{FAMILY} + format_levels_edge_lists:"
     tp, text = time_family(pure, n, alpha, args.repeat)
     row += f" pure {tp:.4f}s"
     if compiled is not None:

@@ -1,8 +1,7 @@
 """Maximum Sombor index over trees with a fixed independence number.
 
 Library layout: ``tree`` (representation, canonical level sequence, edge-list
-I/O), ``invariants`` (the Sombor index and the independence number),
-``enumeration`` (one tree per isomorphism class, streamed), ``extremal``
+I/O), ``enumeration`` (one tree per isomorphism class, streamed), ``extremal``
 (the maximizing construction, closed form and family classifier),
 ``transforms`` (the checked rewiring moves), ``verify`` (the exhaustive
 brute-force driver) and ``cli`` (the command-line front end).  Hot loops
@@ -30,7 +29,6 @@ from .extremal import (
     construct_t_star,
     feasible_alpha_range,
 )
-from .invariants import independence_number, sombor_index
 from .transforms import (
     ShiftSpec,
     apply_lemma1_case,
@@ -45,7 +43,7 @@ from .tree import (
     Tree,
     canonical_levels,
     format_edge_list,
-    format_levels_edge_list,
+    format_levels_edge_lists,
     parse_edge_list,
     tree_centers,
 )
@@ -79,13 +77,11 @@ __all__ = [
     "enumerate_family",
     "feasible_alpha_range",
     "format_edge_list",
-    "format_levels_edge_list",
-    "independence_number",
+    "format_levels_edge_lists",
     "lemma1_case_tag",
     "parse_edge_list",
     "select_support_pair",
     "shift_neighbors",
-    "sombor_index",
     "swap_endpoints",
     "tree_centers",
     "verify",

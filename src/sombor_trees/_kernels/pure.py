@@ -23,7 +23,8 @@ sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
 from scratch for one sequence; it decodes the sequence with the checked
 decoder ``tree._level_parents``, as ``Tree.from_level_sequence`` does, while
 ``order_fold`` keeps its own incremental decode on the hot path and
-``tree.format_levels_edge_list`` its own checked pass.
+``tree.format_levels_edge_lists`` its own checked one, which likewise redoes
+each sequence only from the first index that changed.
 
 The compiled backend mirrors the generator and the stats function for
 function, including the floating-point accumulation order, so both produce

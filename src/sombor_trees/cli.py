@@ -10,6 +10,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -22,7 +23,7 @@ from .extremal import classify, construct_t_star
 from .tree import (
     canonical_levels,
     format_edge_list,
-    format_levels_edge_list,
+    format_levels_edge_lists,
     parse_edge_list,
 )
 from .verify import DEFAULT_VERIFY_CAP, render_text, to_csv, verify
@@ -72,6 +73,15 @@ def _write_stdout(chunks, sep: str = "") -> int:
     return count
 
 
+def _open_output(path: Path | None):
+    """path opened for writing text, or a null context giving None.  A
+    subcommand opens its output file before the fold, so a path that cannot
+    be written fails before any work and before anything is printed."""
+    if path is None:
+        return contextlib.nullcontext()
+    return path.open("w", encoding="utf-8")
+
+
 @functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -114,10 +124,11 @@ def _cmd_verify(args) -> int:
             f"warning: cap raised to {args.cap}; family sizes grow quickly",
             file=sys.stderr,
         )
-    report = verify(args.n_min, args.n_max, jobs=args.jobs, cap=args.cap)
-    _write_stdout([render_text(report)])
-    if args.csv is not None:
-        args.csv.write_text(to_csv(report), encoding="utf-8")
+    with _open_output(args.csv) as csv:
+        report = verify(args.n_min, args.n_max, jobs=args.jobs, cap=args.cap)
+        _write_stdout([render_text(report)])
+        if csv is not None:
+            csv.write(to_csv(report))
     return 0 if report.overall else 1
 
 
@@ -138,14 +149,15 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = verify(2, args.n_max, cap=args.cap)
-    args.output.write_text(to_csv(report), encoding="utf-8")
+    with _open_output(args.output) as out:
+        report = verify(2, args.n_max, cap=args.cap)
+        out.write(to_csv(report))
     print(f"wrote {len(report.records)} rows to {args.output}", file=sys.stderr)
     return 0 if report.overall else 1
 
 
 def _cmd_enumerate(args) -> int:
-    records = map(format_levels_edge_list, enumerate_family(args.n, args.alpha))
+    records = format_levels_edge_lists(enumerate_family(args.n, args.alpha))
     if not _write_stdout(records, sep="\n"):
         print("family empty", file=sys.stderr)
     return 0

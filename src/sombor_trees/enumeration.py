@@ -21,7 +21,8 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ..
     number alpha (all of them when alpha is None).
 
     The kernel decides alpha from the level sequence, and no Tree is built;
-    ``tree.format_levels_edge_list`` prints a sequence as an edge list.
+    ``tree.format_levels_edge_lists`` prints the stream as edge lists,
+    redoing per sequence only the suffix that changed since the last.
     Infeasible alphas simply produce an empty stream.
     """
     if n < 1:

@@ -19,8 +19,8 @@ from .errors import EdgeListParseError, TreeStructureError
 def _level_parents(levels: Sequence[int]) -> list[int]:
     """Parent of each vertex of a preorder depth sequence starting at level 0;
     the root's entry is -1.  Every parent precedes its children.
-    ``format_levels_edge_list`` makes the same checks, with the same messages,
-    in its own pass."""
+    ``format_levels_edge_lists`` makes the same checks, with the same
+    messages, in its own pass."""
     n = len(levels)
     if n < 1:
         raise ValueError("empty level sequence")
@@ -323,33 +323,70 @@ def format_edge_list(t: Tree) -> str:
     return nl[t.order] + "".join([sp[u] + nl[v] for u, v in t.edges()])
 
 
-def format_levels_edge_list(levels: Sequence[int]) -> str:
-    """``format_edge_list(Tree.from_level_sequence(levels))``, without the Tree.
+def format_levels_edge_lists(seqs: Iterable[Sequence[int]]) -> Iterator[str]:
+    """``format_edge_list(Tree.from_level_sequence(L))`` for each L of seqs,
+    in order, without the Trees.
 
-    One pass decodes the sequence with ``_level_parents``'s checks and files
-    each edge line "p i" under its parent p.  ``Tree.edges()`` lists the edges
-    by their smaller end, then the larger; every parent precedes its children,
-    so that is by parent, and vertices are met in increasing order, so each
-    bucket already holds its children in increasing order.  Joining the
-    buckets in parent order gives those bytes with no sort.  Each bucket is a
-    string grown by concatenation, so a vertex of degree d costs O(d^2)
-    character copies, negligible at the stream's orders.
+    Each edge line "p i" is filed under its parent p, in a bucket per parent.
+    ``Tree.edges()`` lists the edges by their smaller end, then the larger;
+    every parent precedes its children, so that is by parent, and vertices are
+    met in increasing order, so each bucket already holds its children in
+    increasing order.  Joining the buckets in parent order gives those bytes
+    with no sort.
+
+    Consecutive sequences of the free-tree stream differ only in a short
+    suffix, so the buckets carry over from one sequence to the next: with lo
+    the first index where L differs from the previous sequence, each vertex
+    i >= lo takes its line back out (``cut[i]`` is its bucket's length just
+    before the line went in), and vertices lo..n-1 are filed again.  A vertex
+    finds its parent by climbing from i - 1, checked as ``_level_parents``
+    checks, with the same messages.  A change of order starts afresh.  Each
+    bucket is a string grown by concatenation, so a vertex of degree d costs
+    O(d^2) character copies, negligible at the stream's orders.
+
+    Each L is copied to a tuple first, so a list the caller rewrites in place
+    cannot alias the previous sequence.  After a ValueError the generator is
+    finished, so no partial state is reused.
     """
-    n = len(levels)
-    if n < 1:
-        raise ValueError("empty level sequence")
-    if levels[0] != 0:
-        raise ValueError("level sequence must start with 0")
-    sp, nl = _numerals(n)
-    lines = [nl[n]] + [""] * n
-    last_at = [0] * (n + 1)
-    prev = 0
-    for i in range(1, n):
-        li = levels[i]
-        if not 1 <= li <= prev + 1:
-            raise ValueError(f"level jump at position {i}")
-        p = last_at[li - 1]
-        lines[p + 1] += sp[p] + nl[i]
-        last_at[li] = i
-        prev = li
-    return "".join(lines)
+    prev: tuple[int, ...] = ()
+    for levels in seqs:
+        levels = tuple(levels)
+        n = len(levels)
+        if n < 1:
+            raise ValueError("empty level sequence")
+        if levels[0] != 0:
+            raise ValueError("level sequence must start with 0")
+        if n != len(prev):
+            sp, nl = _numerals(n)
+            lines = [nl[n]] + [""] * n  # lines[p + 1] is p's bucket
+            parent = [0] * n
+            cut = [0] * n
+            lo = 1
+        else:
+            # lo is the first index where levels and prev differ; the probe
+            # stops at a k with equal prefixes, k <= lo, and the scan goes on
+            k = n - 2
+            while k > 1 and levels[:k] != prev[:k]:
+                k -= 3
+            k = max(k, 1)
+            while k < n and levels[k] == prev[k]:
+                k += 1
+            lo = k
+            for i in range(n - 1, lo - 1, -1):
+                q = parent[i] + 1
+                lines[q] = lines[q][: cut[i]]
+        last = levels[lo - 1]
+        for i in range(lo, n):
+            li = levels[i]
+            if not 1 <= li <= last + 1:
+                raise ValueError(f"level jump at position {i}")
+            p = i - 1
+            while levels[p] >= li:
+                p = parent[p]
+            parent[i] = p
+            b = lines[p + 1]
+            cut[i] = len(b)
+            lines[p + 1] = b + (sp[p] + nl[i])
+            last = li
+        prev = levels
+        yield "".join(lines)

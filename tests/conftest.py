@@ -2,8 +2,9 @@
 enumeration sweeps, and the independent references the package leaves to the
 tests: the rooted stream and its free-check filter, the path and distance
 queries, Prüfer decoding, the isomorphism-class interner with automorphism
-counts, the subset-sweep independence oracle, and the paper's test-only
-trees, sets and inequalities."""
+counts, the paper's two invariants of a labeled tree and the subset-sweep
+independence oracle, the per-record edge-list formatter, and the paper's
+test-only trees, sets and inequalities."""
 
 import heapq
 import importlib.util
@@ -22,7 +23,13 @@ from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import InfeasibleParamsError, SizeLimitError
 from sombor_trees.extremal import ExtremalParams, _star_with_pendants
-from sombor_trees.tree import Tree, _free_check, _walk, canonical_levels
+from sombor_trees.tree import (
+    Tree,
+    _free_check,
+    _walk,
+    canonical_levels,
+    format_levels_edge_lists,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -274,6 +281,32 @@ def grow_by_leaf(trees):
             if levels not in seen:
                 seen[levels] = grown
     return seen
+
+
+def sombor_index(t: Tree) -> float:
+    """The paper's edge formula, summed directly: over edges uv,
+    sqrt(deg(u)^2 + deg(v)^2).  The per-tree reference for the kernel's SO."""
+    deg = t.degrees
+    total = 0.0
+    for u in range(t.order):
+        du = deg[u]
+        for v in t.adjacency[u]:
+            if v > u:
+                dv = deg[v]
+                total += math.sqrt(du * du + dv * dv)
+    return total
+
+
+def independence_number(t: Tree) -> int:
+    """Size of a maximum independent set, by the bound kernel's stats on the
+    tree's canonical level sequence."""
+    return _kernels.tree_stats_from_levels(canonical_levels(t))[1]
+
+
+def format_levels_edge_list(levels) -> str:
+    """One sequence through the stream formatter: the edge list of
+    ``Tree.from_level_sequence(levels)``."""
+    return next(format_levels_edge_lists([levels]))
 
 
 INDEPENDENCE_ORACLE_MAX = 24

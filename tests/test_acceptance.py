@@ -15,7 +15,6 @@ from sombor_trees.extremal import (
     construct_t_star,
     t_star_levels,
 )
-from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.transforms import (
     apply_lemma1_case,
     apply_lemma2_step,
@@ -26,6 +25,7 @@ from sombor_trees.tree import canonical_levels
 from sombor_trees.verify import verify
 
 from conftest import (
+    independence_number,
     independence_number_oracle,
     labeled_tree_total,
     lemma1_f,
@@ -33,6 +33,7 @@ from conftest import (
     pendant_inclusive_mis,
     pendant_vertices,
     prufer_iso_classes,
+    sombor_index,
     star_shift_inequality,
     theorem_shift_inequality,
     trees_of_order,

@@ -8,12 +8,12 @@ import pytest
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import OrderRangeError, SizeLimitError
-from sombor_trees.invariants import independence_number
 from sombor_trees.tree import Tree, canonical_levels
 
 from conftest import (
     filtered_rooted_stream,
     grow_by_leaf,
+    independence_number,
     independence_number_oracle,
     iter_rooted_level_sequences,
     prufer_iso_classes,

@@ -18,15 +18,16 @@ from sombor_trees.extremal import (
     feasible_alpha_range,
     t_star_levels,
 )
-from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.tree import Tree, _level_parents, canonical_levels
 
 from conftest import (
     IsoClassInterner,
+    independence_number,
     independence_number_oracle,
     lemma1_f,
     lemma2_g,
     pendant_vertices,
+    sombor_index,
     star_shift_inequality,
     t1_members,
     t2_members,

@@ -8,14 +8,15 @@ import pytest
 
 from sombor_trees.errors import SizeLimitError
 from sombor_trees.extremal import construct_t_star
-from sombor_trees.invariants import independence_number, sombor_index
 from sombor_trees.tree import Tree
 
 from conftest import (
+    independence_number,
     independence_number_oracle,
     pendant_inclusive_mis,
     pendant_vertices,
     random_tree,
+    sombor_index,
     trees_of_order,
 )
 

@@ -16,7 +16,6 @@ import pytest
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
-from sombor_trees.invariants import sombor_index
 from sombor_trees.tree import Tree, _free_check
 
 from conftest import (
@@ -26,6 +25,7 @@ from conftest import (
     independence_number_oracle,
     iter_rooted_level_sequences,
     perfbench_build,
+    sombor_index,
 )
 
 

@@ -22,8 +22,6 @@ UNREACHED = {
     "tree.py:Tree.from_level_sequence": "tracer target of perfbench/tracer.py",
     "_kernels/__init__.py:_stream_fold": "compiled fold: the compiled backend's order_fold",
     "cli.py:entry": "console entry of the installed sombor-trees script",
-    "invariants.py:sombor_index": "one of the paper's two invariants of a labeled tree",
-    "invariants.py:independence_number": "the other of the paper's two invariants",
     **{
         f"tree.py:Tree.{name}": "Tree value-object method"
         for name in ("path", "star", "relabel", "degree", "__repr__", "__eq__", "__hash__")

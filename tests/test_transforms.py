@@ -13,10 +13,6 @@ from sombor_trees.extremal import (
     construct_t_star,
     t_star_levels,
 )
-from sombor_trees.invariants import (
-    independence_number,
-    sombor_index,
-)
 from sombor_trees.transforms import (
     ShiftSpec,
     _support_pair,
@@ -30,7 +26,15 @@ from sombor_trees.transforms import (
 )
 from sombor_trees.tree import Tree, canonical_levels, core_split
 
-from conftest import distance, query_sweep, t1_members, tree_path, trees_of_order
+from conftest import (
+    distance,
+    independence_number,
+    query_sweep,
+    sombor_index,
+    t1_members,
+    tree_path,
+    trees_of_order,
+)
 
 
 def double_star():

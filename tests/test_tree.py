@@ -8,6 +8,7 @@ import pytest
 
 from sombor_trees import tree as tree_module
 from sombor_trees._kernels import pure
+from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
 from sombor_trees.extremal import construct_t_star, feasible_alpha_range, t_star_levels
 from sombor_trees.tree import (
@@ -15,7 +16,7 @@ from sombor_trees.tree import (
     canonical_levels,
     core_split,
     format_edge_list,
-    format_levels_edge_list,
+    format_levels_edge_lists,
     parse_edge_list,
     tree_centers,
 )
@@ -24,6 +25,7 @@ from conftest import (
     IsoClassInterner,
     distance,
     distances_from,
+    format_levels_edge_list,
     pendant_vertices,
     prufer_to_tree,
     query_sweep,
@@ -402,13 +404,31 @@ class TestEdgeListFormat:
         assert format_edge_list(Tree.from_edges(1, [])) == "1\n"
 
     def test_levels_rendering_matches_tree_rendering(self):
+        # whole streams, and every family up to 12, each record formatted
+        # after the one before it
         for n in range(1, 15):
-            for levels in pure.iter_level_sequences(n):
-                assert format_levels_edge_list(levels) == format_edge_list(
-                    Tree.from_level_sequence(levels)
-                ), levels
+            streams = [list(pure.iter_level_sequences(n))]
+            if n <= 12:
+                streams += [list(enumerate_family(n, alpha)) for alpha in range(n + 1)]
+            for seqs in streams:
+                assert list(format_levels_edge_lists(seqs)) == [
+                    format_edge_list(Tree.from_level_sequence(levels)) for levels in seqs
+                ], n
         assert format_levels_edge_list((0,)) == "1\n"
         assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
+
+    def test_stream_rendering_of_a_live_list(self):
+        # pure._walk rewrites one list in place between records
+        for n in range(1, 13):
+            expected = [
+                format_edge_list(Tree.from_level_sequence(L)) for L, _ in pure._walk(n)
+            ]
+            assert list(format_levels_edge_lists(L for L, _ in pure._walk(n))) == expected
+
+    def test_stream_rendering_of_a_repeated_sequence(self):
+        levels = (0, 1, 2, 1, 2, 2, 1)
+        text = format_edge_list(Tree.from_level_sequence(levels))
+        assert list(format_levels_edge_lists([levels, levels, list(levels)])) == [text] * 3
 
     def test_levels_rendering_beyond_the_stream_orders(self):
         # from an empty numeral cache: rising orders, then falling ones
@@ -425,6 +445,7 @@ class TestEdgeListFormat:
     def test_levels_rendering_of_non_canonical_sequences(self):
         # any valid sequence, not only the stream's: L[i] uniform in 1..L[i-1]+1
         rng = random.Random(22)
+        seqs = []
         for n in range(1, 81):
             for _ in range(4):
                 levels = [0]
@@ -433,6 +454,12 @@ class TestEdgeListFormat:
                 assert format_levels_edge_list(levels) == format_edge_list(
                     Tree.from_level_sequence(levels)
                 ), levels
+                seqs.append(levels)
+        # the same sequences as one stream, the orders interleaved
+        rng.shuffle(seqs)
+        assert list(format_levels_edge_lists(seqs)) == [
+            format_edge_list(Tree.from_level_sequence(levels)) for levels in seqs
+        ]
 
     def test_numeral_cache_keeps_one_order(self):
         for n in range(1, 401):
@@ -444,11 +471,14 @@ class TestEdgeListFormat:
         [(), (1, 0), (0, 2), (1,), (0, 0), (0, -1), (0, 1, 3), (0, 1, 2, 1, 3)],
     )
     def test_bad_level_sequence_rejected(self, levels):
-        # format_levels_edge_list checks in its own pass; the others decode
-        # through _level_parents: all four must agree on the message
+        # the stream formatter checks in its own pass, as a first record and
+        # after a valid one of the same order; the others decode through
+        # _level_parents: all must agree on the message
+        valid = tuple(range(len(levels))) or (0,)
         messages = set()
         for decode in (
             format_levels_edge_list,
+            lambda bad: list(format_levels_edge_lists([valid, bad])),
             tree_module._level_parents,
             Tree.from_level_sequence,
             pure.tree_stats_from_levels,
@@ -457,6 +487,12 @@ class TestEdgeListFormat:
                 decode(levels)
             messages.add(str(info.value))
         assert len(messages) == 1, messages
+        # a stream that raised is finished: no record after the bad one
+        stream = format_levels_edge_lists([valid, levels, valid])
+        next(stream)
+        with pytest.raises(ValueError):
+            next(stream)
+        assert list(stream) == []
 
     def test_self_loop_reports_line(self):
         with pytest.raises(EdgeListParseError, match="line 2: self-loop") as info:

@@ -387,6 +387,23 @@ class TestCliVerifyAndTable:
         assert "overall: PASS" in capsys.readouterr().out
         assert csv_path.read_text().startswith("n,alpha,")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n-max", "3", "--csv"], ["table", "--n-max", "3", "--output"]],
+        ids=["verify", "table"],
+    )
+    def test_unwritable_output_fails_before_the_fold(self, argv, tmp_path, monkeypatch, capsys):
+        def no_fold(n):
+            raise AssertionError("folded before opening the output")
+
+        monkeypatch.setattr(_kernels, "order_fold", no_fold)
+        path = tmp_path / "missing" / "x.csv"
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
+        assert not path.parent.exists()
+
     def test_verify_cap_error(self, capsys):
         assert main(["verify", "--n-max", "17"]) == 2
 
