@@ -26,7 +26,7 @@ from .tree import (
     format_levels_edge_lists,
     parse_edge_list,
 )
-from .verify import DEFAULT_VERIFY_CAP, render_text, to_csv, verify
+from .verify import DEFAULT_VERIFY_CAP, check_orders, render_text, to_csv, verify
 
 
 def _positive_int(text: str) -> int:
@@ -75,8 +75,9 @@ def _write_stdout(chunks, sep: str = "") -> int:
 
 def _open_output(path: Path | None):
     """path opened for writing text, or a null context giving None.  A
-    subcommand opens its output file before the fold, so a path that cannot
-    be written fails before any work and before anything is printed."""
+    subcommand checks its arguments, then opens its output file before the
+    fold: a rejected range leaves an existing file untouched, and a path that
+    cannot be written fails before any work and before anything is printed."""
     if path is None:
         return contextlib.nullcontext()
     return path.open("w", encoding="utf-8")
@@ -124,6 +125,7 @@ def _cmd_verify(args) -> int:
             f"warning: cap raised to {args.cap}; family sizes grow quickly",
             file=sys.stderr,
         )
+    check_orders(args.n_min, args.n_max, args.cap)
     with _open_output(args.csv) as csv:
         report = verify(args.n_min, args.n_max, jobs=args.jobs, cap=args.cap)
         _write_stdout([render_text(report)])
@@ -149,6 +151,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    check_orders(2, args.n_max, args.cap)
     with _open_output(args.output) as out:
         report = verify(2, args.n_max, cap=args.cap)
         out.write(to_csv(report))

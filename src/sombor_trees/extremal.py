@@ -18,8 +18,8 @@ The families are read off the star core: ``_classified`` reads the split of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InfeasibleParamsError
 from .tree import Tree, core_split
@@ -38,21 +38,25 @@ def feasible_alpha_range(order: int) -> range:
     return range((order + 1) // 2, order)
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
+class ExtremalParams(NamedTuple("ExtremalParams", [("order", int), ("alpha", int)])):
     """A feasible (order, alpha) pair; construction validates the range."""
 
-    order: int
-    alpha: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        rng = feasible_alpha_range(self.order)
-        if self.alpha not in rng:
+    def __new__(cls, order: int, alpha: int):
+        rng = feasible_alpha_range(order)
+        if alpha not in rng:
             reason = (
-                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {self.order}"
-                if rng else f"order {self.order} has no feasible alpha"
+                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {order}"
+                if rng else f"order {order} has no feasible alpha"
             )
-            raise InfeasibleParamsError(f"{reason}, got alpha={self.alpha}")
+            raise InfeasibleParamsError(f"{reason}, got alpha={alpha}")
+        return super().__new__(cls, order, alpha)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through __new__, so that _replace validates too."""
+        return cls(*fields)
 
 
 def construct_t_star(order: int, alpha: int) -> Tree:

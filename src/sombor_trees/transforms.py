@@ -16,16 +16,14 @@ applicable tree exhaustively at small orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, _classified
 from .tree import Tree, _walk, core_split
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
+class ShiftSpec(NamedTuple):
     """Re-home `moved` (current neighbors of donor) onto receiver."""
 
     donor: int

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import OrderRangeError, SizeLimitError, WorkerError
@@ -41,8 +41,7 @@ def _float_error(n: int, s: float) -> float:
     return ku / (1 - ku) * abs(s)
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     """One (order, alpha) row of the verification table."""
 
     order: int
@@ -69,8 +68,7 @@ class ExtremalRecord:
         )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     records: tuple[ExtremalRecord, ...]
     order_seconds: tuple[float, ...]
 
@@ -101,6 +99,17 @@ def _verify_order(order: int) -> tuple[list[ExtremalRecord], float]:
     return records, time.perf_counter() - start
 
 
+def check_orders(n_min: int, n_max: int, cap: int) -> None:
+    """Raise OrderRangeError unless 2 <= n_min <= n_max, and SizeLimitError
+    when n_max exceeds cap.  verify() starts with it, and the CLI calls it
+    before opening an output file, so a rejected range leaves that file as it was."""
+    if not 2 <= n_min <= n_max:
+        raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
+    cap = min(cap, 2**31 - 1)  # the compiled kernels take the order as a C int
+    if n_max > cap:
+        raise SizeLimitError(f"n_max {n_max} exceeds the cap {cap}")
+
+
 def verify(
     n_min: int, n_max: int, jobs: int = 1, cap: int = DEFAULT_VERIFY_CAP
 ) -> VerificationReport:
@@ -108,11 +117,7 @@ def verify(
 
     Raises WorkerError, from the pool's BrokenProcessPool, when a worker
     process dies."""
-    if not 2 <= n_min <= n_max:
-        raise OrderRangeError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
-    cap = min(cap, 2**31 - 1)  # the compiled kernels take the order as a C int
-    if n_max > cap:
-        raise SizeLimitError(f"n_max {n_max} exceeds the cap {cap}")
+    check_orders(n_min, n_max, cap)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     orders = range(n_max, n_min - 1, -1)  # largest first, so the pool ends balanced

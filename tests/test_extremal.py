@@ -53,6 +53,14 @@ class TestParams:
             ExtremalParams(0, 0)
         assert str(exc.value) == "order 0 has no feasible alpha, got alpha=0"
 
+    def test_replace_validates(self):
+        p = ExtremalParams(6, 4)
+        assert p._replace(alpha=5) == ExtremalParams(6, 5)
+        with pytest.raises(InfeasibleParamsError, match=r"alpha must be in \[3, 5\]"):
+            p._replace(alpha=2)
+        with pytest.raises(InfeasibleParamsError, match="order 1 has no feasible alpha"):
+            p._replace(order=1)
+
 
 class TestConstruction:
     def test_alpha_n_minus_1_gives_the_star(self):

@@ -6,8 +6,10 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import sombor_trees
-from sombor_trees import _kernels
+from sombor_trees import ExtremalParams, ShiftSpec, VerificationReport, _kernels, verify
 from sombor_trees._kernels import pure
 from sombor_trees.cli import build_parser, main
 
@@ -22,6 +24,7 @@ UNREACHED = {
     "tree.py:Tree.from_level_sequence": "tracer target of perfbench/tracer.py",
     "_kernels/__init__.py:_stream_fold": "compiled fold: the compiled backend's order_fold",
     "cli.py:entry": "console entry of the installed sombor-trees script",
+    "extremal.py:ExtremalParams._make": "keeps ExtremalParams._replace validating",
     **{
         f"tree.py:Tree.{name}": "Tree value-object method"
         for name in ("path", "star", "relabel", "degree", "__repr__", "__eq__", "__hash__")
@@ -35,6 +38,28 @@ def test_star_import_binds_every_public_name():
     for name in sombor_trees.__all__:
         assert namespace[name] is getattr(sombor_trees, name)
     assert namespace["KERNEL_BACKEND"] in ("pure", "compiled")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: verify(5, 5).records[0],
+        lambda: VerificationReport(records=verify(5, 5).records, order_seconds=(0.0,)),
+        lambda: ExtremalParams(6, 4),
+        lambda: ShiftSpec(2, 1, (3,)),
+    ],
+    ids=["ExtremalRecord", "VerificationReport", "ExtremalParams", "ShiftSpec"],
+)
+def test_value_types_are_immutable(make):
+    value = make()
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 0  # no instance __dict__ either
+    assert value == make() and hash(value) == hash(make())
 
 
 def _functions(code, prefix=""):

@@ -1,6 +1,5 @@
 """Verification driver records/CSV and the CLI surface end to end."""
 
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -102,12 +101,12 @@ class TestVerifyDriver:
     def test_report_fails_on_doctored_record(self):
         rec = _record(6, 4)
         assert rec.passed
-        wrong_value = dataclasses.replace(rec, closed_form=rec.closed_form + 1.0)
-        wrong_tree = dataclasses.replace(rec, maximizer_levels=(0, 1, 2, 3, 1, 2))  # P6
-        near_tie = dataclasses.replace(
-            rec, margin_to_second=_float_error(rec.order, rec.brute_force_max) / 2
+        wrong_value = rec._replace(closed_form=rec.closed_form + 1.0)
+        wrong_tree = rec._replace(maximizer_levels=(0, 1, 2, 3, 1, 2))  # P6
+        near_tie = rec._replace(
+            margin_to_second=_float_error(rec.order, rec.brute_force_max) / 2
         )
-        exact_tie = dataclasses.replace(rec, maximizer_count=2)
+        exact_tie = rec._replace(maximizer_count=2)
         for bad in (wrong_value, wrong_tree, near_tie, exact_tie):
             assert not bad.passed
             assert not VerificationReport(records=(bad,), order_seconds=(0.0,)).overall
@@ -404,6 +403,25 @@ class TestCliVerifyAndTable:
         assert err.startswith("error: [Errno 2] No such file or directory") and str(path) in err
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n-max", "17", "--csv"],
+            ["verify", "--n-min", "6", "--n-max", "3", "--csv"],
+            ["table", "--n-max", "1", "--output"],
+            ["table", "--n-max", "11", "--cap", "10", "--output"],
+        ],
+        ids=["verify-cap", "verify-range", "table-range", "table-cap"],
+    )
+    def test_rejected_range_leaves_the_output_untouched(self, argv, tmp_path, capsys):
+        path = tmp_path / "old.csv"
+        old = to_csv(verify(2, 4)).encode("utf-8")
+        path.write_bytes(old)
+        assert main([*argv, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert path.read_bytes() == old
+
     def test_verify_cap_error(self, capsys):
         assert main(["verify", "--n-max", "17"]) == 2
 
@@ -529,3 +547,28 @@ class TestPoolImport:
             "-m", "sombor_trees", "verify", "--n-max", "6", "--jobs", "2"
         )
         assert code == 0 and names >= POOL_MODULES
+
+
+# dataclasses pulls in inspect, and with it ast, dis, tokenize and linecache
+STARTUP_HEAVY = {"dataclasses", "inspect"}
+
+
+class TestStartupImports:
+    def test_no_command_imports_dataclasses(self, tmp_path):
+        tree = tmp_path / "tree.txt"
+        tree.write_text(format_edge_list(construct_t_star(7, 4)))
+        runs = [
+            ("-c", "import sombor_trees, sombor_trees.cli"),
+            ("-m", "sombor_trees", "verify", "--n-max", "6"),
+            ("-m", "sombor_trees", "enumerate", "--n", "6", "--alpha", "4"),
+            ("-m", "sombor_trees", "compute", "--input", str(tree)),
+            ("-m", "sombor_trees", "construct", "--n", "7", "--alpha", "4",
+             "--output", str(tmp_path / "t_star.txt")),
+        ]
+        for args in runs:
+            code, names = _imports(*args)
+            assert code == 0 and "sombor_trees.cli" in names, args
+            assert not names & STARTUP_HEAVY, args
+        # the control: the guard sees these modules when they are imported
+        code, names = _imports("-c", "import dataclasses")
+        assert code == 0 and names >= STARTUP_HEAVY
