@@ -119,13 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_orders(n_min: int, n_max: int, cap: int) -> None:
+    """verify.check_orders, then a warning on stderr when the range it accepted
+    has a cap raised above the default."""
+    check_orders(n_min, n_max, cap)
+    if cap > DEFAULT_VERIFY_CAP:
+        print(f"warning: cap raised to {cap}; family sizes grow quickly", file=sys.stderr)
+
+
 def _cmd_verify(args) -> int:
-    if args.cap > DEFAULT_VERIFY_CAP:
-        print(
-            f"warning: cap raised to {args.cap}; family sizes grow quickly",
-            file=sys.stderr,
-        )
-    check_orders(args.n_min, args.n_max, args.cap)
+    _check_orders(args.n_min, args.n_max, args.cap)
     with _open_output(args.csv) as csv:
         report = verify(args.n_min, args.n_max, jobs=args.jobs, cap=args.cap)
         _write_stdout([render_text(report)])
@@ -151,7 +154,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    check_orders(2, args.n_max, args.cap)
+    _check_orders(2, args.n_max, args.cap)
     with _open_output(args.output) as out:
         report = verify(2, args.n_max, cap=args.cap)
         out.write(to_csv(report))

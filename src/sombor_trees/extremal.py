@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import InfeasibleParamsError
 from .tree import Tree, core_split
@@ -38,25 +37,15 @@ def feasible_alpha_range(order: int) -> range:
     return range((order + 1) // 2, order)
 
 
-class ExtremalParams(NamedTuple("ExtremalParams", [("order", int), ("alpha", int)])):
-    """A feasible (order, alpha) pair; construction validates the range."""
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, alpha: int):
-        rng = feasible_alpha_range(order)
-        if alpha not in rng:
-            reason = (
-                f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {order}"
-                if rng else f"order {order} has no feasible alpha"
-            )
-            raise InfeasibleParamsError(f"{reason}, got alpha={alpha}")
-        return super().__new__(cls, order, alpha)
-
-    @classmethod
-    def _make(cls, fields):
-        """Build through __new__, so that _replace validates too."""
-        return cls(*fields)
+def check_feasible(order: int, alpha: int) -> None:
+    """Raise InfeasibleParamsError unless alpha is in feasible_alpha_range(order)."""
+    rng = feasible_alpha_range(order)
+    if alpha not in rng:
+        reason = (
+            f"alpha must be in [{rng.start}, {rng.stop - 1}] for order {order}"
+            if rng else f"order {order} has no feasible alpha"
+        )
+        raise InfeasibleParamsError(f"{reason}, got alpha={alpha}")
 
 
 def construct_t_star(order: int, alpha: int) -> Tree:
@@ -68,8 +57,8 @@ def construct_t_star(order: int, alpha: int) -> Tree:
     pendants next, in the same order; hub pendants last.  At alpha = order-1
     the core degenerates to the hub alone and the result is the star.
     """
-    p = ExtremalParams(order, alpha)
-    n, a = p.order, p.alpha
+    check_feasible(order, alpha)
+    n, a = order, alpha
     return _star_with_pendants(n - a, 2 * a - n + 1, (1,) * (n - a - 1))
 
 
@@ -77,16 +66,16 @@ def t_star_levels(order: int, alpha: int) -> tuple[int, ...]:
     """The maximizer's canonical level sequence, as the enumeration stream
     yields it: the hub at the root, each armed core vertex followed by its
     pendant, then the hub's own pendants."""
-    p = ExtremalParams(order, alpha)
-    n, a = p.order, p.alpha
+    check_feasible(order, alpha)
+    n, a = order, alpha
     return (0,) + (1, 2) * (n - a - 1) + (1,) * (2 * a - n + 1)
 
 
 def closed_form_max(order: int, alpha: int) -> float:
     """The maximum Sombor index over trees of this order and independence
     number: (2a-(n-1))sqrt(a^2+1) + (n-(a+1))(sqrt(a^2+4) + sqrt(5))."""
-    p = ExtremalParams(order, alpha)
-    n, a = p.order, p.alpha
+    check_feasible(order, alpha)
+    n, a = order, alpha
     return (2 * a - (n - 1)) * math.sqrt(a * a + 1) + (n - (a + 1)) * (
         math.sqrt(a * a + 4) + math.sqrt(5)
     )

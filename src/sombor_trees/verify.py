@@ -11,8 +11,8 @@ below it.  No exact tie hides: by Besicovitch (1940) it needs equal
 square-free radicand vectors, and one that rounds apart leaves a margin below
 the bound, so its cell fails.  Orders are independent, so they optionally fan
 out to a process pool; the merged report is sorted and byte-stable.  The pool
-is imported only when ``jobs > 1`` starts one, so a serial run never loads
-``concurrent.futures`` or ``multiprocessing``.
+is imported only when a run has more than one order and ``jobs > 1``, so a
+serial run never loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -121,13 +121,14 @@ def verify(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     orders = range(n_max, n_min - 1, -1)  # largest first, so the pool ends balanced
-    if jobs == 1:
+    workers = min(jobs, len(orders))
+    if workers == 1:
         results = [_verify_order(n) for n in orders]
     else:
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(orders))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_verify_order, orders, chunksize=1))
         except BrokenProcessPool as exc:  # an error, never a violation
             raise WorkerError(f"worker process failed: {exc}") from exc

@@ -22,7 +22,7 @@ from sombor_trees import _kernels
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import InfeasibleParamsError, SizeLimitError
-from sombor_trees.extremal import ExtremalParams, _star_with_pendants
+from sombor_trees.extremal import _star_with_pendants, check_feasible
 from sombor_trees.tree import (
     Tree,
     _free_check,
@@ -371,7 +371,7 @@ def t1_members(order: int, alpha: int):
     least one pendant on every core vertex, alpha pendants in total.  One
     representative per isomorphism class, built as ``construct_t_star``
     builds the maximizer."""
-    ExtremalParams(order, alpha)
+    check_feasible(order, alpha)
     s = order - alpha
     if s < 2:
         raise InfeasibleParamsError(f"the T1 family needs order - alpha >= 2, got {s}")
@@ -386,7 +386,7 @@ def t2_members(order: int, alpha: int):
     """All trees built from the star on order-alpha+1 vertices by hanging
     pendants on every non-hub core vertex only, alpha-1 pendants in total.
     Empty when 2*alpha < order + 1; undefined at alpha = n/2."""
-    ExtremalParams(order, alpha)
+    check_feasible(order, alpha)
     if 2 * alpha == order:
         raise InfeasibleParamsError("the T2 family is not defined at alpha = n/2")
     for leaf_counts in _pendant_distributions(alpha - 1, order - alpha):

@@ -10,8 +10,8 @@ from sombor_trees import extremal
 from sombor_trees._kernels import pure
 from sombor_trees.errors import InfeasibleParamsError
 from sombor_trees.extremal import (
-    ExtremalParams,
     TreeClass,
+    check_feasible,
     classify,
     closed_form_max,
     construct_t_star,
@@ -42,24 +42,18 @@ class TestParams:
         assert list(feasible_alpha_range(2)) == [1]
 
     def test_rejects_out_of_range(self):
+        for alpha in feasible_alpha_range(6):
+            check_feasible(6, alpha)
         with pytest.raises(InfeasibleParamsError, match=r"alpha must be in \[3, 5\]"):
-            ExtremalParams(6, 2)
+            check_feasible(6, 2)
         with pytest.raises(InfeasibleParamsError):
-            ExtremalParams(6, 6)
+            check_feasible(6, 6)
         with pytest.raises(InfeasibleParamsError) as exc:
-            ExtremalParams(1, 0)
+            check_feasible(1, 0)
         assert str(exc.value) == "order 1 has no feasible alpha, got alpha=0"
         with pytest.raises(InfeasibleParamsError) as exc:
-            ExtremalParams(0, 0)
+            check_feasible(0, 0)
         assert str(exc.value) == "order 0 has no feasible alpha, got alpha=0"
-
-    def test_replace_validates(self):
-        p = ExtremalParams(6, 4)
-        assert p._replace(alpha=5) == ExtremalParams(6, 5)
-        with pytest.raises(InfeasibleParamsError, match=r"alpha must be in \[3, 5\]"):
-            p._replace(alpha=2)
-        with pytest.raises(InfeasibleParamsError, match="order 1 has no feasible alpha"):
-            p._replace(order=1)
 
 
 class TestConstruction:
@@ -123,6 +117,8 @@ class TestTStarLevels:
         assert t_star_levels(6, 3) == (0, 1, 2, 1, 2, 1)
 
     def test_rejects_out_of_range(self):
+        for alpha in feasible_alpha_range(6):
+            check_feasible(6, alpha)
         for order, alpha in ((6, 2), (6, 6), (1, 0), (0, 0), (7, 3)):
             with pytest.raises(InfeasibleParamsError):
                 t_star_levels(order, alpha)

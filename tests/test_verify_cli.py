@@ -410,8 +410,12 @@ class TestCliVerifyAndTable:
             ["verify", "--n-min", "6", "--n-max", "3", "--csv"],
             ["table", "--n-max", "1", "--output"],
             ["table", "--n-max", "11", "--cap", "10", "--output"],
+            # a raised cap warns only once the range is accepted
+            ["verify", "--n-max", "40", "--cap", "30", "--csv"],
+            ["table", "--n-max", "40", "--cap", "30", "--output"],
         ],
-        ids=["verify-cap", "verify-range", "table-range", "table-cap"],
+        ids=["verify-cap", "verify-range", "table-range", "table-cap",
+             "verify-raised-cap", "table-raised-cap"],
     )
     def test_rejected_range_leaves_the_output_untouched(self, argv, tmp_path, capsys):
         path = tmp_path / "old.csv"
@@ -419,11 +423,22 @@ class TestCliVerifyAndTable:
         path.write_bytes(old)
         assert main([*argv, str(path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert path.read_bytes() == old
 
     def test_verify_cap_error(self, capsys):
         assert main(["verify", "--n-max", "17"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--n-max", "5", "--cap", "17", "--csv"],
+         ["table", "--n-max", "5", "--cap", "17", "--output"]],
+        ids=["verify", "table"],
+    )
+    def test_raised_cap_warns(self, argv, tmp_path, capsys):
+        assert main([*argv, str(tmp_path / "x.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "warning: cap raised to 17; family sizes grow quickly"
 
     def test_table_determinism(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -539,9 +554,10 @@ class TestPoolImport:
         code, names = _imports("-c", "import sombor_trees, sombor_trees.cli")
         assert code == 0 and "sombor_trees.cli" in names
         assert not names & POOL_MODULES
-        code, names = _imports("-m", "sombor_trees", "verify", "--n-max", "6")
-        assert code == 0 and "sombor_trees.verify" in names
-        assert not names & POOL_MODULES
+        for run in (["--n-max", "6"], ["--n-min", "6", "--n-max", "6", "--jobs", "2"]):
+            code, names = _imports("-m", "sombor_trees", "verify", *run)
+            assert code == 0 and "sombor_trees.verify" in names, run
+            assert not names & POOL_MODULES, run
         # the control: a run that starts a pool does import it
         code, names = _imports(
             "-m", "sombor_trees", "verify", "--n-max", "6", "--jobs", "2"
@@ -549,8 +565,9 @@ class TestPoolImport:
         assert code == 0 and names >= POOL_MODULES
 
 
-# dataclasses pulls in inspect, and with it ast, dis, tokenize and linecache
-STARTUP_HEAVY = {"dataclasses", "inspect"}
+# dataclasses pulls in inspect, and with it ast, dis, tokenize and linecache;
+# transforms holds the proof's moves, which no subcommand runs
+STARTUP_HEAVY = {"dataclasses", "inspect", "sombor_trees.transforms"}
 
 
 class TestStartupImports:
@@ -560,6 +577,8 @@ class TestStartupImports:
         runs = [
             ("-c", "import sombor_trees, sombor_trees.cli"),
             ("-m", "sombor_trees", "verify", "--n-max", "6"),
+            ("-m", "sombor_trees", "table", "--n-max", "5",
+             "--output", str(tmp_path / "table.csv")),
             ("-m", "sombor_trees", "enumerate", "--n", "6", "--alpha", "4"),
             ("-m", "sombor_trees", "compute", "--input", str(tree)),
             ("-m", "sombor_trees", "construct", "--n", "7", "--alpha", "4",
@@ -569,6 +588,8 @@ class TestStartupImports:
             code, names = _imports(*args)
             assert code == 0 and "sombor_trees.cli" in names, args
             assert not names & STARTUP_HEAVY, args
-        # the control: the guard sees these modules when they are imported
+        # the controls: the guard sees these modules when they are imported
         code, names = _imports("-c", "import dataclasses")
-        assert code == 0 and names >= STARTUP_HEAVY
+        assert code == 0 and names >= {"dataclasses", "inspect"}
+        code, names = _imports("-c", "import sombor_trees.transforms")
+        assert code == 0 and "sombor_trees.transforms" in names
