@@ -15,10 +15,15 @@ state it keeps across sequences and redoes only from the first index a step
 rewrote; its reference, in the tests, is the rooted stream of ``_successor``
 filtered by the full-scan ``_free_check``.
 
-``order_fold`` follows the walk the same way: it keeps parents, degrees and
-the greedy matching's counts across trees, and redoes them only from the
-first index the walk changed and on that index's ancestors.  It sums the
-Sombor index in full, in vertex order, and copies a sequence only when it
+``order_fold`` follows the walk the same way: it keeps parents, degrees,
+F = sum of deg**3 and the greedy matching's counts across trees, and redoes
+them only from the first index the walk changed and on that index's
+ancestors.  The edges' radicands d_u**2 + d_v**2 add up to F, so by
+Cauchy-Schwarz SO <= sqrt((n - 1) * F).  The fold sums the Sombor index, in
+full and in vertex order, only when that bound, widened by the float sum's
+rounding bound gamma_{n+4} of ``verify._float_error``, reaches the cell's
+runner-up; it only counts the other trees, which provably cannot change the
+cell (the argument is in ``order_fold``).  It copies a sequence only when it
 sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
 from scratch for one sequence; it decodes the sequence with the checked
 decoder ``tree._level_parents``, as ``Tree.from_level_sequence`` does, while
@@ -142,6 +147,9 @@ def _walk(n: int) -> Iterator[tuple[list[int], int]]:
                 # first subtree starts with the chain and outlasts the path.
                 h = max(L) - 1
                 L[n - h - 1:] = range(1, h + 2)
+                # m - 1 < n - h - 1 at every order tried, so this has never
+                # lowered p; the argument above places the chain, not m,
+                # before n - h - 1, so the guard keeps p the first change
                 p = min(p, n - h - 1)
         if not p:
             return
@@ -168,18 +176,45 @@ def order_fold(n: int) -> dict:
     DP form a vertex is matched from below when any of its children is left
     unmatched by its own subtree; free[v] counts those children of v, and nu
     is the number of vertices matched from below.  The Sombor index is summed
-    in full, in vertex order, as the compiled backend sums it.
+    in full, in vertex order, as the compiled backend sums it, but only for
+    trees that pass the Cauchy-Schwarz test below; the others are counted
+    and cannot change anything else in their cell.
+
+    F = sum of deg**3 follows the degrees: a degree going from d - 1 to d
+    adds cube[d] = 3d**2 - 3d + 1, and going back takes it away again.  Each
+    edge's radicand d_u**2 + d_v**2 gives every endpoint's d**2 once per
+    incident edge, so the radicands add up to F, and Cauchy-Schwarz over the
+    n - 1 edges gives SO <= sqrt((n - 1) * F).  With u = 2**-53 and gamma =
+    gamma_{n+4} = (n + 4)u / (1 - (n + 4)u) as in ``verify._float_error``,
+    the float sum so, n - 1 correctly rounded roots of exact radicands added
+    in vertex order, satisfies so <= SO * (1 + gamma), and
+    1 / (1 + gamma) = 1 - (n + 4)u.  Whenever runner[a] = r > 0 changes,
+    thr[a] = y * y with y = r * shrink and shrink = 1 - (n + 6)u, a float
+    held exactly.  Two round-to-nearest products give thr <= r**2 * shrink**2
+    * (1 + u)**3 < (r * (1 - (n + 4)u))**2, since (1 - (n + 6)u) * (1 + u)**1.5
+    <= (1 - (n + 6)u) * (1 + 2u) < 1 - (n + 4)u.  Python compares the int
+    (n - 1) * F with the float thr exactly, so a skipped tree has
+    SO <= sqrt((n - 1) * F) < sqrt(thr) < r / (1 + gamma), and so < r: its
+    float SO lies strictly below the runner-up, itself below the best.  It
+    cannot change best, ties, runner or first, and no exact tie, with the
+    best or with the runner-up, is ever skipped.  Before a cell has a
+    runner-up thr[a] is 0.0, which no (n - 1) * F >= 0 lies below.
     """
     roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
+    cube = [3 * d * d - 3 * d + 1 for d in range(n)]  # d**3 - (d - 1)**3
+    shrink = 1.0 - (n + 6) * 2.0**-53
+    edges = n - 1
     # the star; the first tree redoes L[1:]
     parent = [0] * n
-    deg = [n - 1] + [1] * (n - 1)
-    free = [n - 1] + [0] * (n - 1)
+    deg = [edges] + [1] * edges
+    F = edges**3 + edges
+    free = [edges] + [0] * edges
     below = [False] * n
     nu = 0  # vertices other than the root matched from below
     count = [0] * (n + 1)
     best = [float("-inf")] * (n + 1)
     runner = [float("-inf")] * (n + 1)
+    thr = [0.0] * (n + 1)
     ties = [0] * (n + 1)
     first = [None] * (n + 1)
     for L, lo in _walk(n):
@@ -187,7 +222,9 @@ def order_fold(n: int) -> dict:
             # undo i under its old parent, then find its new one: the first of
             # i - 1 and its ancestors below L[i]
             p = parent[i]
-            deg[p] -= 1
+            d = deg[p]
+            F -= cube[d]
+            deg[p] = d - 1
             if below[i]:
                 nu -= 1
             else:
@@ -197,7 +234,9 @@ def order_fold(n: int) -> dict:
             while L[p] >= li:
                 p = parent[p]
             parent[i] = p
-            deg[p] += 1
+            d = deg[p] + 1
+            deg[p] = d
+            F += cube[d]
         # free[i] is 0 for i >= lo now; redo them deepest first
         for i in range(n - 1, lo - 1, -1):
             if free[i]:
@@ -218,21 +257,28 @@ def order_fold(n: int) -> dict:
                     nu -= 1
                     free[parent[v]] += 1
             v = parent[v]
+        a = n - nu - (free[0] > 0)
+        count[a] += 1
+        if edges * F < thr[a]:
+            continue
         so = 0.0
         for i in range(1, n):
             so += roots[deg[i]][deg[parent[i]]]
-        a = n - nu - (free[0] > 0)
-        count[a] += 1
         b = best[a]
         if so > b:
             runner[a] = b
             best[a] = so
             ties[a] = 1
             first[a] = tuple(L)
+            if b > 0:  # else the cell's first tree leaves no runner-up
+                y = b * shrink
+                thr[a] = y * y
         elif so == b:
             ties[a] += 1
         elif so > runner[a]:
             runner[a] = so
+            y = so * shrink
+            thr[a] = y * y
     return {
         a: (count[a], best[a], runner[a], ties[a], first[a])
         for a in range(n + 1)
