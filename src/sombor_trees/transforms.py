@@ -1,5 +1,5 @@
-"""Checked edge rewirings that raise the Sombor index without changing the
-independence number.
+"""Checked edge rewirings meant to raise the Sombor index without changing
+the independence number.
 
 Each operation mirrors one of the local moves used to push an arbitrary tree
 toward the extremal one: re-homing a batch of neighbors from a donor vertex
@@ -11,7 +11,9 @@ Every rewiring builds its result through ``_rewire``: ``Tree.from_edges``
 judges tree-ness, and the move only names itself in the error.  Other
 preconditions are verified structurally; the SO-increase and
 alpha-preservation claims are left to the property tests, which sweep every
-applicable tree exhaustively at small orders.
+applicable tree exhaustively for n <= 11.  The SO increase is checked only
+there and, one move per tree, for n <= 18 in ROADMAP's stream replay; at
+n = 40 a case-3 ``apply_lemma1_case`` keeps alpha but lowers SO (ROADMAP D16).
 """
 
 from __future__ import annotations
@@ -181,7 +183,9 @@ def _unload(t: Tree, expected: TreeClass, keep: int) -> Optional[Tree]:
 def apply_lemma2_step(t: Tree) -> Tree:
     """Empty the first loaded core leaf of a T2 tree onto the bare hub.
 
-    The result lands in T1 with a strictly larger Sombor index.
+    The result lands in T1; its Sombor index is larger on every tree
+    checked, those with n <= 11 in the tests and n <= 18 in ROADMAP's stream
+    replay.
     """
     return _unload(t, TreeClass.T2, 0)
 

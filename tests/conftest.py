@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from sombor_trees import _kernels
-from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import InfeasibleParamsError, SizeLimitError
 from sombor_trees.extremal import _star_with_pendants, check_feasible
@@ -83,12 +82,22 @@ def bind_backend(monkeypatch, mod):
 
 def iter_rooted_level_sequences(n):
     """All canonical rooted trees on n vertices, decreasing lexicographic:
-    ``pure._successor`` run from the path rooted at an end."""
+    the chop-and-replicate successor run from the path rooted at an end.  It
+    scans back for the parent q of the last entry p above level 1, so it
+    shares no code with the walk, which carries its parents."""
     L = list(range(n))
     while True:
         yield tuple(L)
-        if not pure._successor(L, None):
+        p = n - 1
+        while p > 0 and L[p] == 1:
+            p -= 1
+        if p <= 0:
             return
+        q = p - 1
+        while L[q] != L[p] - 1:
+            q -= 1
+        for i in range(p, n):
+            L[i] = L[i - (p - q)]
 
 
 @lru_cache(maxsize=None)

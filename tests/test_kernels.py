@@ -105,10 +105,12 @@ class TestPureKernels:
         assert so[small] < so[big]
 
         def walk(n):
-            # each tree with the first index it changed, as _walk reports it
+            # each tree with its parents and the first index it changed, as
+            # _walk reports them
             prev = (0,) + (1,) * (n - 1)
             for L in script:
-                yield list(L), next(i for i in range(1, n) if L[i] != prev[i])
+                lo = next(i for i in range(1, n) if L[i] != prev[i])
+                yield list(L), _level_parents(L), lo
                 prev = L
 
         monkeypatch.setattr(pure, "_walk", walk)
@@ -142,7 +144,8 @@ class TestPureKernels:
         def walk(n):
             prev = (0,) + (1,) * (n - 1)
             for L in script:
-                yield list(L), next(i for i in range(1, n) if L[i] != prev[i])
+                lo = next(i for i in range(1, n) if L[i] != prev[i])
+                yield list(L), _level_parents(L), lo
                 prev = L
 
         monkeypatch.setattr(pure, "_walk", walk)
@@ -181,16 +184,18 @@ class TestPureKernels:
             assert pure.order_fold(n) == _stream_fold(n)
 
     def test_walk_reports_the_first_changed_index(self):
-        # the fused fold redoes parents and degrees from lo on, and only there
-        for n in range(1, 13):
+        # the fused fold takes the walk's parents and redoes the tree from lo
+        # on, and only there
+        for n in range(1, 14):
             prev = None
-            for L, lo in pure._walk(n):
+            for L, P, lo in pure._walk(n):
+                assert P[1:] == _level_parents(L)[1:], (n, L, P)
                 if prev is None:
                     assert lo == 1
                 else:
-                    changed = [i for i in range(n) if L[i] != prev[i]]
-                    assert lo == changed[0], (n, prev, L)
-                prev = list(L)
+                    changed = [i for i in range(n) if (L[i], P[i]) != prev[i]]
+                    assert lo == changed[0], (n, prev, L, P)
+                prev = list(zip(L, P))
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
         # the walk advances once from every sequence it visits, under the
@@ -199,12 +204,12 @@ class TestPureKernels:
         # and the full-scan _free_check must agree with it every time
         visited = 0
 
-        def counting(L, p):
+        def counting(L, P, p):
             nonlocal visited
             visited += 1
             valid, m = _free_check(L)
             assert p == (None if valid else m - 1), (L, p, valid, m)
-            return successor(L, p)
+            return successor(L, P, p)
 
         successor = pure._successor
         monkeypatch.setattr(pure, "_successor", counting)

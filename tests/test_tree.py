@@ -421,9 +421,9 @@ class TestEdgeListFormat:
         # pure._walk rewrites one list in place between records
         for n in range(1, 13):
             expected = [
-                format_edge_list(Tree.from_level_sequence(L)) for L, _ in pure._walk(n)
+                format_edge_list(Tree.from_level_sequence(L)) for L, _, _ in pure._walk(n)
             ]
-            assert list(format_levels_edge_lists(L for L, _ in pure._walk(n))) == expected
+            assert list(format_levels_edge_lists(L for L, _, _ in pure._walk(n))) == expected
 
     def test_stream_rendering_of_a_repeated_sequence(self):
         levels = (0, 1, 2, 1, 2, 2, 1)
