@@ -14,11 +14,18 @@ Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
 
+Times are reference-core seconds, as in ``perfbench/run.py``: the speed of a
+shared host's CPUs changes with the load on it, so every timed run is scaled
+by ``REF_CAL_S / cal``, cal the median time of a fixed pure-Python loop
+(``perfbench/launch.py``'s calibration loop, copied here) just before and
+after the run.  Each figure is the best of ``--repeat`` scaled runs.
+
 The repository's end-to-end benchmark is ``perfbench/run.py``.
 """
 
 import argparse
 import hashlib
+import statistics
 import time
 from contextlib import contextmanager
 
@@ -33,16 +40,37 @@ except ImportError:
     compiled = None
 
 FAMILY = (17, 11)  # the family the end-to-end enumerate workload prints
+CAL_LOOPS = 3000
+CAL_SAMPLES = 5  # calibration loops before and after each timed run
+# the calibration loop's time on perfbench's reference core, the unit here
+REF_CAL_S = 0.0006
+
+
+def calibrate():
+    """CPU seconds this thread takes for a fixed dict-heavy Python loop."""
+    start = time.thread_time()
+    d = {}
+    for i in range(CAL_LOOPS):
+        d[i & 1023] = d.get(i & 1023, 0) + i
+    return time.thread_time() - start
+
+
+def timed(run, repeat):
+    """(best scaled time, result) of repeat calls of run()."""
+    best = float("inf")
+    result = None
+    for _ in range(repeat):
+        cal = [calibrate() for _ in range(CAL_SAMPLES)]
+        start = time.perf_counter()
+        result = run()
+        elapsed = time.perf_counter() - start
+        cal += [calibrate() for _ in range(CAL_SAMPLES)]
+        best = min(best, elapsed * REF_CAL_S / statistics.median(cal))
+    return best, result
 
 
 def time_enumerate(mod, n, repeat):
-    best = float("inf")
-    count = 0
-    for _ in range(repeat):
-        start = time.perf_counter()
-        count = sum(1 for _ in mod.iter_level_sequences(n))
-        best = min(best, time.perf_counter() - start)
-    return best, count
+    return timed(lambda: sum(1 for _ in mod.iter_level_sequences(n)), repeat)
 
 
 def stream_digest(mod, n):
@@ -65,25 +93,11 @@ def bound(mod):
         _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
 
 
-def time_fold(fold_order, n, repeat):
-    best = float("inf")
-    fold = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fold = fold_order(n)
-        best = min(best, time.perf_counter() - start)
-    return best, fold
-
-
 def time_family(mod, n, alpha, repeat):
-    best = float("inf")
-    text = ""
     with bound(mod):
-        for _ in range(repeat):
-            start = time.perf_counter()
-            text = "".join(format_levels_edge_lists(enumerate_family(n, alpha)))
-            best = min(best, time.perf_counter() - start)
-    return best, text
+        return timed(
+            lambda: "".join(format_levels_edge_lists(enumerate_family(n, alpha))), repeat
+        )
 
 
 def main():
@@ -95,18 +109,19 @@ def main():
     if compiled is None:
         print("compiled backend unavailable; timing the pure backend only")
 
+    print(f"best of {args.repeat}, in reference-core seconds")
     header = f"{'n':>3} {'trees':>8} {'enum pure':>11} {'fold pure':>11}"
     if compiled is not None:
         header += f" {'enum comp':>11} {'fold comp':>11} {'enum x':>7} {'fold x':>7}"
     print(header)
     for n in args.orders:
         ep, count = time_enumerate(pure, n, args.repeat)
-        fp, pfold = time_fold(pure.order_fold, n, args.repeat)
+        fp, pfold = timed(lambda: pure.order_fold(n), args.repeat)
         row = f"{n:>3} {count:>8} {ep:>10.4f}s {fp:>10.4f}s"
         if compiled is not None:
             ec, ccount = time_enumerate(compiled, n, args.repeat)
             with bound(compiled):
-                fc, cfold = time_fold(_stream_fold, n, args.repeat)
+                fc, cfold = timed(lambda: _stream_fold(n), args.repeat)
             assert ccount == count, "backends disagree on the tree count"
             assert stream_digest(compiled, n) == stream_digest(pure, n), (
                 "backends disagree on the stream"

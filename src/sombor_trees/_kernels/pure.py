@@ -16,6 +16,14 @@ state it keeps across sequences and redoes only from the first index a step
 rewrote; its reference, in the tests, is a rooted stream with its own
 successor, filtered by the full-scan ``_free_check``.
 
+The caller owns the walk's two lists: ``_start(n)`` builds the sequence and
+its parent array, ``_walk(L, P)`` rewrites them in place and yields only the
+first index that changed.  When the last vertex is a leaf above level 1, as
+in about half the trees, the walk moves it up to its grandparent itself;
+every other step goes through ``_successor``.  Suffix loops that average
+about 2 vertices are ``while`` loops, which cost less here than building a
+``range``.
+
 ``order_fold`` follows the walk the same way.  It takes each tree's parents
 from the walk, so a tree is decoded once, in the walk.  It keeps degrees,
 F = sum of deg**3 and the greedy matching's counts across trees, and redoes
@@ -58,7 +66,10 @@ def _successor(L: list[int], P: list[int], p: int | None) -> int:
     p >= 1 forces the change at that index; None, or a forced index already at
     level 1, takes the natural chop at the last entry above level 1.  Returns
     the first index rewritten, or 0, leaving L and P untouched, when the
-    stream is exhausted.
+    stream is exhausted.  This is the walk's one general step; only the walk's
+    last-leaf step bypasses it.  The copy runs as a ``while`` loop: the
+    rewritten suffix averages about 2 vertices, so building a ``range`` would
+    cost more than the loop body.
     """
     n = len(L)
     if p is None or L[p] < 2:
@@ -71,33 +82,50 @@ def _successor(L: list[int], P: list[int], p: int | None) -> int:
     d = p - q
     lq = L[q]
     pq = P[q]
-    for i in range(p, n):  # copies of q's subtree, each a new child of P[q]
+    i = p
+    while i < n:  # copies of q's subtree, each a new child of P[q]
         li = L[i - d]
         L[i] = li
         P[i] = P[i - d] + d if li > lq else pq
+        i += 1
     return p
 
 
-def _walk(n: int) -> Iterator[tuple[list[int], list[int], int]]:
-    """Walk the free-tree stream: yield (L, P, lo) once per free tree.
+def _start(n: int) -> tuple[list[int], list[int]]:
+    """The walk's first sequence, the center-rooted path, and its parent
+    array, as fresh lists for the caller to own.  Raises ValueError for
+    n < 1."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    return L, _level_parents(L)
 
-    L is the live sequence and P its parent array, the root's entry -1, both
-    rewritten in place after each yield; lo is the first index at which
-    either changed since the previous yield.  L[0] is 0 throughout, so the
-    first yield reports lo = 1.
+
+def _walk(L: list[int], P: list[int]) -> Iterator[int]:
+    """Walk the free-tree stream from ``_start(len(L))``: yield lo once per
+    free tree.
+
+    L and P, the root's entry -1, belong to the caller, who reads the tree
+    from them at each yield; the walk rewrites both in place between yields.
+    lo is the first index at which either changed since the previous yield.
+    L[0] is 0 throughout, so the first yield reports lo = 1.
+
+    Over half the steps move only the last vertex: when the yielded tree's
+    last vertex sits above level 1 (53% of the trees at n = 16), the natural
+    successor chops at n - 1 and copies q = P[n - 1] there, which the walk
+    does in place, lo = n - 1, without calling ``_successor``.  Every other
+    step, natural or forced, goes through ``_successor``.
 
     The walk decides ``_free_check`` on every sequence it visits, but keeps
     the check's state across them and redoes it only from the first index the
     last step rewrote: m, the start of the second root subtree; top[i], the
     maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
-    for i >= m.  Raises ValueError for n < 1.
+    for i >= m.  The suffix loop over rest is a ``while`` loop, as in
+    ``_successor``.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    P = _level_parents(L)
+    n = len(L)
     if n == 1:  # the single vertex: nothing to check and no successor
-        yield L, P, 1
+        yield 1
         return
     top = [0, 1] + [0] * (n - 2)
     rest = [0] * n
@@ -117,10 +145,11 @@ def _walk(n: int) -> Iterator[tuple[list[int], list[int], int]]:
             h_rest = 0
         else:
             h_rest = rest[p - 1]
-        for i in range(p, n):
-            if L[i] > h_rest:
-                h_rest = L[i]
-            rest[i] = h_rest
+        while p < n:
+            if L[p] > h_rest:
+                h_rest = L[p]
+            rest[p] = h_rest
+            p += 1
         # _free_check's verdict, read off the state
         if h_rest != h_left:
             valid = h_rest > h_left
@@ -133,9 +162,14 @@ def _walk(n: int) -> Iterator[tuple[list[int], list[int], int]]:
                     valid = a - 1 < b
                     break
         if valid:
-            yield L, P, lo
-            lo = n
-            p = _successor(L, P, None)
+            yield lo
+            q = P[n - 1]
+            if q:  # the last vertex sits above level 1: move it up in place
+                L[n - 1] = L[q]
+                P[n - 1] = P[q]
+                lo = p = n - 1
+                continue
+            lo = p = _successor(L, P, None)
         else:
             deep = L[m - 1] > 2
             p = _successor(L, P, m - 1)
@@ -161,23 +195,28 @@ def _walk(n: int) -> Iterator[tuple[list[int], list[int], int]]:
                 p = min(p, n - h - 1)
         if not p:
             return
-        lo = min(lo, p)
+        if p < lo:
+            lo = p
 
 
 def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """One canonical level sequence per free tree on n vertices."""
-    for L, _, _ in _walk(n):
+    L, P = _start(n)
+    for _ in _walk(L, P):
         yield tuple(L)
 
 
 def order_fold(n: int) -> dict:
     """Fold the whole order-n stream into every alpha cell in one walk.
 
-    Returns the same cells as the shared ``_kernels._stream_fold``.  The
-    parents P come from the walk; degrees and the independence number follow
-    it.  One reverse pass over lo..n - 1, lo the first changed index, undoes
-    each vertex's old edge, adds its new one from P and settles the vertex,
-    whose children all come later in preorder and so are settled already.
+    Returns the same cells as the shared ``_kernels._stream_fold``.  The fold
+    owns L and P from ``_start(n)`` and the walk hands it only lo, the first
+    changed index; degrees and the independence number follow the parents P.
+    One reverse pass over lo..n - 1 undoes each vertex's old edge, adds its
+    new one from P and settles the vertex, whose children all come later in
+    preorder and so are settled already.  The pass is a ``while`` loop: after
+    the walk's last-leaf step it covers one vertex, and on average about 2,
+    too few to pay for a ``range``.
     Then the ancestors of lo - 1, the only earlier vertices whose children
     changed, are settled up to the root.  The climb averages 2.5 steps a
     tree at n = 16.  Stopping it at the first ancestor that keeps its flag
@@ -214,6 +253,7 @@ def order_fold(n: int) -> dict:
     best or with the runner-up, is ever skipped.  Before a cell has a
     runner-up thr[a] is 0.0, which no (n - 1) * F >= 0 lies below.
     """
+    L, P = _start(n)
     roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
     cube = [3 * d * d - 3 * d + 1 for d in range(n)]  # d**3 - (d - 1)**3
     shrink = 1.0 - (n + 6) * 2.0**-53
@@ -231,8 +271,9 @@ def order_fold(n: int) -> dict:
     thr = [0.0] * (n + 1)
     ties = [0] * (n + 1)
     first = [None] * (n + 1)
-    for L, P, lo in _walk(n):
-        for i in range(n - 1, lo - 1, -1):
+    for lo in _walk(L, P):
+        i = n - 1
+        while i >= lo:  # not range: the suffix averages about 2 vertices
             # undo i's old edge, add its new one, then settle i
             p = parent[i]
             d = deg[p]
@@ -253,6 +294,7 @@ def order_fold(n: int) -> dict:
             else:
                 below[i] = False
                 free[p] += 1
+            i -= 1
         v = lo - 1
         while v:
             b = free[v] > 0

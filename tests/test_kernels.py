@@ -104,16 +104,7 @@ class TestPureKernels:
         assert so[low] < so[x] < so[y1] == so[y2] and 0 < so[y1] - so[x] < 1e-12
         assert so[small] < so[big]
 
-        def walk(n):
-            # each tree with its parents and the first index it changed, as
-            # _walk reports them
-            prev = (0,) + (1,) * (n - 1)
-            for L in script:
-                lo = next(i for i in range(1, n) if L[i] != prev[i])
-                yield list(L), _level_parents(L), lo
-                prev = L
-
-        monkeypatch.setattr(pure, "_walk", walk)
+        monkeypatch.setattr(pure, "_walk", _scripted_walk(script))
         assert pure.order_fold(10) == {
             6: (4, so[y1], so[x], 2, y1),
             7: (2, so[big], so[small], 1, big),
@@ -141,14 +132,7 @@ class TestPureKernels:
         for L in low:
             assert 9 * sum(d**3 for d in _degrees(L)[1]) < 0.99 * so[x] ** 2
 
-        def walk(n):
-            prev = (0,) + (1,) * (n - 1)
-            for L in script:
-                lo = next(i for i in range(1, n) if L[i] != prev[i])
-                yield list(L), _level_parents(L), lo
-                prev = L
-
-        monkeypatch.setattr(pure, "_walk", walk)
+        monkeypatch.setattr(pure, "_walk", _scripted_walk(script))
         assert pure.order_fold(10) == {6: (7, so[y1], so[x], 2, y1)}
 
     def test_sombor_sum_meets_the_cauchy_schwarz_bound(self):
@@ -188,7 +172,8 @@ class TestPureKernels:
         # on, and only there
         for n in range(1, 14):
             prev = None
-            for L, P, lo in pure._walk(n):
+            L, P = pure._start(n)
+            for lo in pure._walk(L, P):
                 assert P[1:] == _level_parents(L)[1:], (n, L, P)
                 if prev is None:
                     assert lo == 1
@@ -199,20 +184,34 @@ class TestPureKernels:
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
         # the walk advances once from every sequence it visits, under the
-        # generator and under the fused fold alike: naturally when its
-        # suffix-following check accepts the sequence, else forced at m - 1,
-        # and the full-scan _free_check must agree with it every time
+        # generator and under the fused fold alike: from a sequence its
+        # suffix-following check accepts, it yields and then steps naturally,
+        # by its own last-leaf step or through _successor; from any other it
+        # calls _successor forced at m - 1.  So the visits are the yields
+        # plus the forced calls, and the full-scan _free_check must agree
+        # with the walk at every one of them
         visited = 0
 
         def counting(L, P, p):
             nonlocal visited
-            visited += 1
             valid, m = _free_check(L)
-            assert p == (None if valid else m - 1), (L, p, valid, m)
+            if p is None:  # the natural step after a yield, counted there
+                assert valid, L
+            else:
+                visited += 1
+                assert not valid and p == m - 1, (L, p, valid, m)
             return successor(L, P, p)
 
-        successor = pure._successor
+        def yielding(L, P):
+            nonlocal visited
+            for lo in walk(L, P):
+                visited += 1
+                assert _free_check(L)[0], L
+                yield lo
+
+        successor, walk = pure._successor, pure._walk
         monkeypatch.setattr(pure, "_successor", counting)
+        monkeypatch.setattr(pure, "_walk", yielding)
         # the walk reads 1.14 at n = 12 down to 1.04 at n = 18; a reset that
         # fires only at level >= 4, or resets one level short, reads 1.27 or
         # more at n = 12 and 1.09 or more at n = 18, above every bound here
@@ -246,6 +245,23 @@ class TestPureKernels:
         bind_backend(monkeypatch, pure)
         with pytest.raises(ValueError):
             _stream_fold(0)
+
+
+def _scripted_walk(script):
+    """A stand-in for pure._walk that walks the given level sequences."""
+
+    def walk(L, P):
+        # each tree written into the caller's lists, its parents with it,
+        # and the first index it changed, as _walk reports them
+        prev = (0,) + (1,) * (len(L) - 1)
+        for levels in script:
+            lo = next(i for i in range(1, len(L)) if levels[i] != prev[i])
+            L[:] = levels
+            P[:] = _level_parents(levels)
+            yield lo
+            prev = levels
+
+    return walk
 
 
 def _degrees(levels):

@@ -418,12 +418,12 @@ class TestEdgeListFormat:
         assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
 
     def test_stream_rendering_of_a_live_list(self):
-        # pure._walk rewrites one list in place between records
+        # pure._walk rewrites the caller's list in place between records
         for n in range(1, 13):
-            expected = [
-                format_edge_list(Tree.from_level_sequence(L)) for L, _, _ in pure._walk(n)
-            ]
-            assert list(format_levels_edge_lists(L for L, _, _ in pure._walk(n))) == expected
+            L, P = pure._start(n)
+            expected = [format_edge_list(Tree.from_level_sequence(L)) for _ in pure._walk(L, P)]
+            L, P = pure._start(n)
+            assert list(format_levels_edge_lists(L for _ in pure._walk(L, P))) == expected
 
     def test_stream_rendering_of_a_repeated_sequence(self):
         levels = (0, 1, 2, 1, 2, 2, 1)
