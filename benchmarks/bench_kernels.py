@@ -17,8 +17,8 @@ Run from an installed checkout:
 Times are reference-core seconds, as in ``perfbench/run.py``: the speed of a
 shared host's CPUs changes with the load on it, so every timed run is scaled
 by ``REF_CAL_S / cal``, cal the median time of a fixed pure-Python loop
-(``perfbench/launch.py``'s calibration loop, copied here) just before and
-after the run.  Each figure is the best of ``--repeat`` scaled runs.
+(``perfbench/launch.py``'s calibration loop) just before and after the run.
+Each figure is the best of ``--repeat`` scaled runs.
 
 The repository's end-to-end benchmark is ``perfbench/run.py``.
 """
@@ -26,8 +26,10 @@ The repository's end-to-end benchmark is ``perfbench/run.py``.
 import argparse
 import hashlib
 import statistics
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
@@ -39,20 +41,15 @@ try:
 except ImportError:
     compiled = None
 
+# perfbench's calibration loop and its reference time, the unit here; its
+# modules import one another by name, and no bytecode is written next to them
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+sys.dont_write_bytecode = True
+from launch import calibrate
+from run import REF_CAL_S
+
 FAMILY = (17, 11)  # the family the end-to-end enumerate workload prints
-CAL_LOOPS = 3000
 CAL_SAMPLES = 5  # calibration loops before and after each timed run
-# the calibration loop's time on perfbench's reference core, the unit here
-REF_CAL_S = 0.0006
-
-
-def calibrate():
-    """CPU seconds this thread takes for a fixed dict-heavy Python loop."""
-    start = time.thread_time()
-    d = {}
-    for i in range(CAL_LOOPS):
-        d[i & 1023] = d.get(i & 1023, 0) + i
-    return time.thread_time() - start
 
 
 def timed(run, repeat):

@@ -67,9 +67,7 @@ def _successor(L: list[int], P: list[int], p: int | None) -> int:
     level 1, takes the natural chop at the last entry above level 1.  Returns
     the first index rewritten, or 0, leaving L and P untouched, when the
     stream is exhausted.  This is the walk's one general step; only the walk's
-    last-leaf step bypasses it.  The copy runs as a ``while`` loop: the
-    rewritten suffix averages about 2 vertices, so building a ``range`` would
-    cost more than the loop body.
+    last-leaf step bypasses it.
     """
     n = len(L)
     if p is None or L[p] < 2:
@@ -120,8 +118,7 @@ def _walk(L: list[int], P: list[int]) -> Iterator[int]:
     the check's state across them and redoes it only from the first index the
     last step rewrote: m, the start of the second root subtree; top[i], the
     maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
-    for i >= m.  The suffix loop over rest is a ``while`` loop, as in
-    ``_successor``.
+    for i >= m.
     """
     n = len(L)
     if n == 1:  # the single vertex: nothing to check and no successor
@@ -214,14 +211,12 @@ def order_fold(n: int) -> dict:
     changed index; degrees and the independence number follow the parents P.
     One reverse pass over lo..n - 1 undoes each vertex's old edge, adds its
     new one from P and settles the vertex, whose children all come later in
-    preorder and so are settled already.  The pass is a ``while`` loop: after
-    the walk's last-leaf step it covers one vertex, and on average about 2,
-    too few to pay for a ``range``.
-    Then the ancestors of lo - 1, the only earlier vertices whose children
-    changed, are settled up to the root.  The climb averages 2.5 steps a
-    tree at n = 16.  Stopping it at the first ancestor that keeps its flag
-    once it is at or above every changed parent skips at most 17% of those
-    steps, and measured slower than climbing to the root.
+    preorder and so are settled already.  Then the ancestors of lo - 1, the
+    only earlier vertices whose children changed, are settled up to the root.
+    The climb averages 2.5 steps a tree at n = 16.  Stopping it at the first
+    ancestor that keeps its flag once it is at or above every changed parent
+    skips at most 17% of those steps, and measured slower than climbing to the
+    root.
 
     Children come after their parent in preorder, so a greedy matching of each
     unmatched vertex to its unmatched parent, taken in reverse preorder, is a

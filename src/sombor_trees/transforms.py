@@ -18,30 +18,21 @@ n = 40 a case-3 ``apply_lemma1_case`` keeps alpha but lowers SO (ROADMAP D16).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import PreconditionError, TreeStructureError
 from .extremal import TreeClass, _classified
 from .tree import Tree, _walk, core_split
 
 
-class ShiftSpec(NamedTuple):
-    """Re-home `moved` (current neighbors of donor) onto receiver."""
-
-    donor: int
-    receiver: int
-    moved: tuple[int, ...]
-
-
-def shift_neighbors(t: Tree, spec: ShiftSpec) -> Tree:
-    """Delete donor~w and add receiver~w for every w in spec.moved.
+def shift_neighbors(t: Tree, donor: int, receiver: int, moved: tuple[int, ...]) -> Tree:
+    """Re-home moved, current neighbors of donor, onto receiver: delete
+    donor~w and add receiver~w for every w in moved.
 
     Valid whenever the moved subtrees hang off the donor away from the
     receiver; the donor-side edge of the donor-receiver path must stay put.
     Past the checks below, moving it is exactly what ``Tree.from_edges`` rejects.
     """
-    donor, receiver = spec.donor, spec.receiver
-    moved = tuple(spec.moved)
     t._check_vertex(donor)
     t._check_vertex(receiver)
     for w in moved:
@@ -114,10 +105,11 @@ def _support_pair(t: Tree, split: dict) -> tuple[int, int, int, int]:
     return u, v, x, to_u[v]
 
 
-def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
+def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], tuple]:
     """The case move around the maximum-distance support pair (u, v), whose
     path neighbors toward each other are x and y: (tag, swap, shift), where
-    swap is the swap_endpoints(u, x, v, y) to make first, or None."""
+    swap is the swap_endpoints(u, x, v, y) to make first, or None, and shift
+    is shift_neighbors' (donor, receiver, moved)."""
     label, _, split = _classified(t)
     if label is not TreeClass.OTHER:
         raise PreconditionError(
@@ -133,7 +125,7 @@ def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
         if t.degrees[u] < t.degrees[v]:
             u, v, x, y, vp = v, u, y, x, up
         # v keeps y and one pendant; the rest of its neighbors move to u
-        shift = ShiftSpec(v, u, heavy(v, y) + vp[1:])
+        shift = v, u, heavy(v, y) + vp[1:]
         if t.degrees[x] >= t.degrees[y]:
             return "1.1", None, shift
         # the swap is the identity when the pair is adjacent
@@ -141,7 +133,7 @@ def _case_move(t: Tree) -> tuple[str, Optional[tuple[int, ...]], ShiftSpec]:
     tag = "2" if up or vp else "3"
     if up:  # the pendant-free side donates its heavy neighbors
         u, v, x, y = v, u, y, x
-    return tag, None, ShiftSpec(u, v, heavy(u, x))
+    return tag, None, (u, v, heavy(u, x))
 
 
 def lemma1_case_tag(t: Tree) -> str:
@@ -161,7 +153,7 @@ def apply_lemma1_case(t: Tree) -> Tree:
     _, swap, shift = _case_move(t)
     if swap is not None:
         t = swap_endpoints(t, *swap)
-    return shift_neighbors(t, shift)
+    return shift_neighbors(t, *shift)
 
 
 def _unload(t: Tree, expected: TreeClass, keep: int) -> Optional[Tree]:
@@ -177,7 +169,7 @@ def _unload(t: Tree, expected: TreeClass, keep: int) -> Optional[Tree]:
             f"expected a {expected.value} tree, classify gave {label.value}"
         )
     leaf = min(w for w in split[hub][1] if len(split[w][0]) > keep)
-    return shift_neighbors(t, ShiftSpec(leaf, hub, split[leaf][0][keep:]))
+    return shift_neighbors(t, leaf, hub, split[leaf][0][keep:])
 
 
 def apply_lemma2_step(t: Tree) -> Tree:

@@ -105,9 +105,9 @@ class Tree:
     """Undirected tree stored as a tuple of sorted neighbor tuples.
 
     Instances are value objects: equality and hashing follow the labeled
-    adjacency, and nothing mutates after construction.  ``path``, ``star`` and
-    T*'s builder go through the checked ``from_edges``; ``from_level_sequence``
-    and ``relabel`` build trees by construction and skip it.
+    adjacency, and nothing mutates after construction.  T*'s builder and the
+    rewirings go through the checked ``from_edges``; ``from_level_sequence``
+    builds trees by construction and skips it.
     """
 
     __slots__ = ("order", "adjacency", "degrees")
@@ -160,34 +160,12 @@ class Tree:
             adj[i].append(p)
         return cls(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
-    @classmethod
-    def path(cls, order: int) -> "Tree":
-        return cls.from_edges(order, ((i, i + 1) for i in range(order - 1)))
-
-    @classmethod
-    def star(cls, order: int) -> "Tree":
-        return cls.from_edges(order, ((0, i) for i in range(1, order)))
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return self.degrees[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u in range(self.order):
             for v in self.adjacency[u]:
                 if v > u:
                     yield (u, v)
-
-    def relabel(self, perm: Sequence[int]) -> "Tree":
-        """Return the tree with vertex v renamed to perm[v]."""
-        if sorted(perm) != list(range(self.order)):
-            raise ValueError("perm must be a permutation of 0..order-1")
-        adj: list[list[int]] = [[] for _ in range(self.order)]
-        for u, v in self.edges():
-            adj[perm[u]].append(perm[v])
-            adj[perm[v]].append(perm[u])
-        return Tree(self.order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:

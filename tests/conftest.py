@@ -1,4 +1,5 @@
-"""Shared helpers: the compiled-backend fixture and backend binding, cached
+"""Shared helpers: the compiled-backend fixture and backend binding, the
+path, the star and relabeling, built through ``Tree.from_edges``, cached
 enumeration sweeps, and the independent references the package leaves to the
 tests: the rooted stream and its free-check filter, the path and distance
 queries, Prüfer decoding, the isomorphism-class interner with automorphism
@@ -108,6 +109,24 @@ def filtered_rooted_stream(n):
     return [L for L in iter_rooted_level_sequences(n) if _free_check(L)[0]]
 
 
+def path_of_order(n):
+    """The path 0 - 1 - ... - (n - 1)."""
+    return Tree.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_of_order(n):
+    """The star with hub 0."""
+    return Tree.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def relabel(t, perm):
+    """t with vertex v renamed to perm[v], judged by ``Tree.from_edges``: at
+    order >= 2, a perm that is not a permutation of 0..order-1 maps some edge
+    to a loop, a duplicate or an out-of-range vertex, or leaves a vertex
+    isolated."""
+    return Tree.from_edges(t.order, [(perm[u], perm[v]) for u, v in t.edges()])
+
+
 @lru_cache(maxsize=None)
 def trees_of_order(n):
     """Materialized enumeration stream, cached across tests."""
@@ -125,7 +144,7 @@ def query_sweep():
         for t in trees_of_order(n):
             perm = list(range(n))
             rng.shuffle(perm)
-            trees += (t, t.relabel(perm))
+            trees += (t, relabel(t, perm))
     for n in range(11, 41):
         trees.extend(random_tree(n, rng) for _ in range(30))
     return tuple(trees)
@@ -436,7 +455,8 @@ def pendant_vertices(t: Tree) -> set[int]:
 
 def support_vertex(t: Tree, pendant: int) -> int:
     """The unique neighbor of a pendant vertex."""
-    if t.degree(pendant) != 1:
+    t._check_vertex(pendant)
+    if t.degrees[pendant] != 1:
         raise ValueError(f"vertex {pendant} has degree {t.degrees[pendant]}, not 1")
     return t.adjacency[pendant][0]
 

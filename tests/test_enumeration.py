@@ -16,9 +16,11 @@ from conftest import (
     independence_number,
     independence_number_oracle,
     iter_rooted_level_sequences,
+    path_of_order,
     prufer_iso_classes,
     prufer_to_tree,
     random_tree,
+    star_of_order,
     trees_of_order,
 )
 
@@ -39,7 +41,7 @@ class TestCounts:
 
     def test_order_4_is_path_and_star(self):
         codes = {canonical_levels(t) for t in trees_of_order(4)}
-        assert codes == {canonical_levels(Tree.path(4)), canonical_levels(Tree.star(4))}
+        assert codes == {canonical_levels(path_of_order(4)), canonical_levels(star_of_order(4))}
 
     def test_cap_enforced(self):
         with pytest.raises(SizeLimitError):

@@ -26,8 +26,11 @@ from conftest import (
     independence_number_oracle,
     lemma1_f,
     lemma2_g,
+    path_of_order,
     pendant_vertices,
+    relabel,
     sombor_index,
+    star_of_order,
     star_shift_inequality,
     t1_members,
     t2_members,
@@ -59,7 +62,7 @@ class TestParams:
 class TestConstruction:
     def test_alpha_n_minus_1_gives_the_star(self):
         t = construct_t_star(6, 5)
-        assert canonical_levels(t) == canonical_levels(Tree.star(6))
+        assert canonical_levels(t) == canonical_levels(star_of_order(6))
 
     def test_6_4_shape(self):
         # hub of degree 4 with three pendants and one length-2 arm
@@ -174,15 +177,15 @@ class TestClassify:
 
     def test_stars(self):
         for n in (2, 3, 5, 9):
-            assert classify(Tree.star(n)) is TreeClass.STAR
+            assert classify(star_of_order(n)) is TreeClass.STAR
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_orders_below_3_classify_as_star(self, order):
-        assert extremal._classified(Tree.path(order)) == (TreeClass.STAR, -1, {})
-        assert classify(Tree.path(order)) is TreeClass.STAR
+        assert extremal._classified(path_of_order(order)) == (TreeClass.STAR, -1, {})
+        assert classify(path_of_order(order)) is TreeClass.STAR
 
     def test_path_6_is_other(self):
-        assert classify(Tree.path(6)) is TreeClass.OTHER
+        assert classify(path_of_order(6)) is TreeClass.OTHER
 
     def test_spider_with_bare_hub_is_t2(self):
         # star S4 with one extra pendant on each of the 3 leaves (n=7, alpha=4)
@@ -230,7 +233,7 @@ class TestClassify:
                 t = Tree.from_level_sequence(levels)
                 perm = list(range(n))
                 rng.shuffle(perm)
-                for u in (t, t.relabel(perm)):
+                for u in (t, relabel(t, perm)):
                     if classify(u) is TreeClass.T2:
                         seen += 1
                         assert 2 * independence_number_oracle(u) > n, levels

@@ -13,25 +13,28 @@ from sombor_trees.tree import Tree
 from conftest import (
     independence_number,
     independence_number_oracle,
+    path_of_order,
     pendant_inclusive_mis,
     pendant_vertices,
     random_tree,
+    relabel,
     sombor_index,
+    star_of_order,
     trees_of_order,
 )
 
 
 class TestSomborIndex:
     def test_single_edge(self):
-        assert sombor_index(Tree.path(2)) == pytest.approx(math.sqrt(2), abs=1e-12)
+        assert sombor_index(path_of_order(2)) == pytest.approx(math.sqrt(2), abs=1e-12)
 
     def test_star_5(self):
         # (n-1) sqrt((n-1)^2 + 1) with n = 5
-        assert sombor_index(Tree.star(5)) == pytest.approx(4 * math.sqrt(17), abs=1e-9)
+        assert sombor_index(star_of_order(5)) == pytest.approx(4 * math.sqrt(17), abs=1e-9)
 
     def test_path_4(self):
         expected = 2 * math.sqrt(5) + 2 * math.sqrt(2)
-        assert sombor_index(Tree.path(4)) == pytest.approx(expected, abs=1e-9)
+        assert sombor_index(path_of_order(4)) == pytest.approx(expected, abs=1e-9)
 
     def test_single_vertex_is_zero(self):
         assert sombor_index(Tree.from_edges(1, [])) == 0.0
@@ -43,7 +46,7 @@ class TestSomborIndex:
             t = random_tree(n, rng)
             perm = list(range(n))
             rng.shuffle(perm)
-            assert sombor_index(t.relabel(perm)) == pytest.approx(
+            assert sombor_index(relabel(t, perm)) == pytest.approx(
                 sombor_index(t), abs=1e-9
             )
 
@@ -59,10 +62,10 @@ class TestSomborIndex:
 
 class TestIndependenceNumber:
     def test_star_6(self):
-        assert independence_number(Tree.star(6)) == 5
+        assert independence_number(star_of_order(6)) == 5
 
     def test_path_4(self):
-        assert independence_number(Tree.path(4)) == 2
+        assert independence_number(path_of_order(4)) == 2
 
     def test_t_star_8_5(self):
         t = construct_t_star(8, 5)
@@ -71,11 +74,11 @@ class TestIndependenceNumber:
 
     def test_oracle_trivial_cases(self):
         assert independence_number_oracle(Tree.from_edges(1, [])) == 1
-        assert independence_number_oracle(Tree.star(4)) == 3
+        assert independence_number_oracle(star_of_order(4)) == 3
 
     def test_oracle_refuses_large_orders(self):
         with pytest.raises(SizeLimitError):
-            independence_number_oracle(Tree.path(25))
+            independence_number_oracle(path_of_order(25))
 
     def test_dp_equals_oracle_exhaustively_to_10(self):
         for n in range(1, 11):
@@ -88,7 +91,7 @@ class TestIndependenceNumber:
             pool = trees_of_order(n)
             for t in rng.sample(pool, 6):
                 # a relabeled copy is not already numbered in preorder
-                u = t.relabel(rng.sample(range(n), n))
+                u = relabel(t, rng.sample(range(n), n))
                 alpha = independence_number_oracle(t)
                 assert independence_number(t) == alpha == independence_number(u)
 
@@ -101,10 +104,10 @@ class TestIndependenceNumber:
 
 class TestPendantInclusiveMis:
     def test_star_keeps_all_leaves(self):
-        assert pendant_inclusive_mis(Tree.star(5)) == {1, 2, 3, 4}
+        assert pendant_inclusive_mis(star_of_order(5)) == {1, 2, 3, 4}
 
     def test_path4_keeps_both_ends(self):
-        assert pendant_inclusive_mis(Tree.path(4)) == {0, 3}
+        assert pendant_inclusive_mis(path_of_order(4)) == {0, 3}
 
     def test_t_star_6_4_keeps_the_four_pendants(self):
         t = construct_t_star(6, 4)
@@ -116,8 +119,8 @@ class TestPendantInclusiveMis:
 
     def test_single_edge_degenerate(self):
         # both vertices are pendants and adjacent; the set keeps exactly one
-        mis = pendant_inclusive_mis(Tree.path(2))
-        assert len(mis) == 1 == independence_number(Tree.path(2))
+        mis = pendant_inclusive_mis(path_of_order(2))
+        assert len(mis) == 1 == independence_number(path_of_order(2))
         assert mis == {0}
 
     def test_property_sweep_to_12(self):
@@ -135,7 +138,7 @@ class TestPendantInclusiveMis:
             for t in trees_of_order(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                r = t.relabel(perm)
+                r = relabel(t, perm)
                 mis = pendant_inclusive_mis(r)
                 assert pendant_vertices(r) <= mis
                 assert not any(u in mis for v in mis for u in r.adjacency[v])

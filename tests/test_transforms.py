@@ -14,7 +14,6 @@ from sombor_trees.extremal import (
     t_star_levels,
 )
 from sombor_trees.transforms import (
-    ShiftSpec,
     _support_pair,
     apply_lemma1_case,
     apply_lemma2_step,
@@ -29,8 +28,10 @@ from sombor_trees.tree import Tree, canonical_levels, core_split
 from conftest import (
     distance,
     independence_number,
+    path_of_order,
     query_sweep,
     sombor_index,
+    star_of_order,
     t1_members,
     tree_path,
     trees_of_order,
@@ -104,46 +105,46 @@ def t1_8_5_one_loaded_leaf():
 
 class TestShiftNeighbors:
     def test_path_move_builds_a_star(self):
-        t = Tree.path(4)
-        out = shift_neighbors(t, ShiftSpec(donor=2, receiver=1, moved=(3,)))
+        t = path_of_order(4)
+        out = shift_neighbors(t, donor=2, receiver=1, moved=(3,))
         assert sorted(out.degrees) == [1, 1, 1, 3]
         assert out.degrees[1] == 3
 
     def test_empty_move_is_identity(self):
-        t = Tree.path(5)
-        assert shift_neighbors(t, ShiftSpec(2, 3, ())) == t
+        t = path_of_order(5)
+        assert shift_neighbors(t, 2, 3, ()) == t
 
     def test_degree_bookkeeping(self):
         t = spider_222()
-        out = shift_neighbors(t, ShiftSpec(donor=1, receiver=0, moved=(4,)))
+        out = shift_neighbors(t, donor=1, receiver=0, moved=(4,))
         assert out.degrees[0] == t.degrees[0] + 1
         assert out.degrees[1] == t.degrees[1] - 1
 
     def test_rejects_moving_the_path_edge(self):
-        t = Tree.path(4)
+        t = path_of_order(4)
         with pytest.raises(TreeStructureError, match="detach"):
-            shift_neighbors(t, ShiftSpec(donor=2, receiver=0, moved=(1,)))
+            shift_neighbors(t, donor=2, receiver=0, moved=(1,))
 
     def test_rejects_non_neighbor(self):
         with pytest.raises(TreeStructureError, match="not adjacent"):
-            shift_neighbors(Tree.path(4), ShiftSpec(0, 2, (3,)))
+            shift_neighbors(path_of_order(4), 0, 2, (3,))
 
     def test_rejects_receiver_in_moved(self):
         with pytest.raises(TreeStructureError, match="receiver"):
-            shift_neighbors(Tree.path(4), ShiftSpec(1, 2, (2,)))
+            shift_neighbors(path_of_order(4), 1, 2, (2,))
 
     def test_rejects_donor_as_receiver(self):
         with pytest.raises(TreeStructureError, match="donor and receiver must be distinct"):
-            shift_neighbors(Tree.star(4), ShiftSpec(0, 0, (1,)))
+            shift_neighbors(star_of_order(4), 0, 0, (1,))
 
     def test_rejects_repeated_moved_vertex(self):
         with pytest.raises(TreeStructureError, match="moved vertices must be distinct"):
-            shift_neighbors(spider_222(), ShiftSpec(0, 1, (2, 2)))
+            shift_neighbors(spider_222(), 0, 1, (2, 2))
 
 
 class TestSwapEndpoints:
     def test_path_swap_keeps_degrees(self):
-        t = Tree.path(6)
+        t = path_of_order(6)
         out = swap_endpoints(t, 1, 2, 4, 3)
         assert sorted(out.degrees) == sorted(t.degrees)
         assert (1, 3) in list(out.edges()) and (2, 4) in list(out.edges())
@@ -155,28 +156,28 @@ class TestSwapEndpoints:
 
     def test_rejects_non_edges(self):
         with pytest.raises(TreeStructureError, match="not adjacent"):
-            swap_endpoints(Tree.path(6), 0, 2, 4, 3)
+            swap_endpoints(path_of_order(6), 0, 2, 4, 3)
 
     def test_rejects_absent_second_edge(self):
         with pytest.raises(TreeStructureError, match="5 and 3 are not adjacent"):
-            swap_endpoints(Tree.path(6), 1, 2, 5, 3)
+            swap_endpoints(path_of_order(6), 1, 2, 5, 3)
 
     def test_rejects_disconnecting_swap(self):
         # swapping within one branch cuts the other off
-        t = Tree.path(6)
+        t = path_of_order(6)
         with pytest.raises(TreeStructureError):
             swap_endpoints(t, 0, 1, 2, 3)
 
     def test_rejects_repeated_vertices(self):
         with pytest.raises(TreeStructureError, match="distinct"):
-            swap_endpoints(Tree.path(6), 1, 2, 1, 0)
+            swap_endpoints(path_of_order(6), 1, 2, 1, 0)
 
 
 class TestSelectSupportPair:
     @pytest.mark.parametrize("order", [1, 2])
     def test_rejects_order_below_3(self, order):
         with pytest.raises(ValueError, match="needs a tree of order >= 3"):
-            select_support_pair(Tree.path(order))
+            select_support_pair(path_of_order(order))
 
     def test_double_star_centers(self):
         assert select_support_pair(double_star()) == (0, 1)
@@ -334,7 +335,7 @@ class TestTheoremStep:
 
     def test_rejects_other_trees(self):
         with pytest.raises(PreconditionError):
-            apply_theorem_step(Tree.path(7))
+            apply_theorem_step(path_of_order(7))
 
     def test_every_t1_10_6_member_converges(self):
         target = t_star_levels(10, 6)

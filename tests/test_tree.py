@@ -26,10 +26,13 @@ from conftest import (
     distance,
     distances_from,
     format_levels_edge_list,
+    path_of_order,
     pendant_vertices,
     prufer_to_tree,
     query_sweep,
     random_tree,
+    relabel,
+    star_of_order,
     support_vertex,
     tree_path,
     trees_of_order,
@@ -38,9 +41,9 @@ from conftest import (
 
 class TestConstruction:
     def test_path_and_star(self):
-        p = Tree.path(4)
+        p = path_of_order(4)
         assert list(p.edges()) == [(0, 1), (1, 2), (2, 3)]
-        s = Tree.star(5)
+        s = star_of_order(5)
         assert s.degrees == (4, 1, 1, 1, 1)
 
     def test_every_constructed_tree_has_n_minus_1_edges(self):
@@ -103,7 +106,7 @@ class TestConstruction:
         b = Tree.from_edges(4, [(3, 2), (2, 1), (1, 0)])
         assert a == b and a is not b
         assert hash(a) == hash(b)
-        assert len({a, b, Tree.path(4)}) == 1
+        assert len({a, b, path_of_order(4)}) == 1
 
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(TreeStructureError, match="needs"):
@@ -115,28 +118,24 @@ class TestConstruction:
 
     def test_relabel_requires_permutation(self):
         with pytest.raises(ValueError):
-            Tree.path(3).relabel([0, 0, 1])
+            relabel(path_of_order(3), [0, 0, 1])
 
 
 class TestDegreeAndPendants:
     def test_star_center_degree(self):
-        assert Tree.star(5).degree(0) == 4
+        assert star_of_order(5).degrees[0] == 4
 
     def test_single_vertex_degree(self):
-        assert Tree.from_edges(1, []).degree(0) == 0
+        assert Tree.from_edges(1, []).degrees[0] == 0
 
     def test_path_interior_degree(self):
-        assert Tree.path(4).degree(1) == 2
-
-    def test_degree_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Tree.path(3).degree(3)
+        assert path_of_order(4).degrees[1] == 2
 
     def test_star_pendants(self):
-        assert pendant_vertices(Tree.star(6)) == {1, 2, 3, 4, 5}
+        assert pendant_vertices(star_of_order(6)) == {1, 2, 3, 4, 5}
 
     def test_two_path_pendants(self):
-        assert pendant_vertices(Tree.path(2)) == {0, 1}
+        assert pendant_vertices(path_of_order(2)) == {0, 1}
 
     def test_t_star_pendants(self):
         # hub 0, core leaf 1, arm pendant 2, hub pendants 3..5
@@ -147,10 +146,10 @@ class TestDegreeAndPendants:
         assert pendant_vertices(Tree.from_edges(1, [])) == set()
 
     def test_support_of_star_leaf(self):
-        assert support_vertex(Tree.star(5), 3) == 0
+        assert support_vertex(star_of_order(5), 3) == 0
 
     def test_support_of_path_end(self):
-        assert support_vertex(Tree.path(4), 0) == 1
+        assert support_vertex(path_of_order(4), 0) == 1
 
     def test_support_in_t_star(self):
         # arm pendant 3 hangs on core leaf 1 in T*(8,5)
@@ -159,15 +158,15 @@ class TestDegreeAndPendants:
 
     def test_support_rejects_non_pendant(self):
         with pytest.raises(ValueError, match="degree"):
-            support_vertex(Tree.path(4), 1)
+            support_vertex(path_of_order(4), 1)
 
 
 class TestDistance:
     def test_identity(self):
-        assert distance(Tree.path(5), 2, 2) == 0
+        assert distance(path_of_order(5), 2, 2) == 0
 
     def test_path_ends(self):
-        assert distance(Tree.path(4), 0, 3) == 3
+        assert distance(path_of_order(4), 0, 3) == 3
 
     def test_arm_pendants_of_t_star(self):
         # arm pendants 3 and 4 of T*(7,4) sit 4 apart (through the hub)
@@ -182,7 +181,7 @@ class TestDistance:
             assert distance(t, u, v) == distance(t, v, u)
 
     def test_path_endpoints_recovered(self):
-        t = Tree.path(6)
+        t = path_of_order(6)
         assert tree_path(t, 1, 4) == [1, 2, 3, 4]
 
 
@@ -232,7 +231,7 @@ class TestWalkQueries:
                 assert distance(t, u, v) == len(path) - 1 == distances_from(t, u)[v]
 
     def test_vertex_out_of_range(self):
-        t = Tree.path(4)
+        t = path_of_order(4)
         for query in (lambda: distance(t, 0, -1), lambda: distances_from(t, 4),
                       lambda: tree_path(t, 4, 0)):
             with pytest.raises(ValueError, match="out of range"):
@@ -244,10 +243,10 @@ class TestStripPendants:
     >= 2 with its pendants and its core neighbors."""
 
     def test_path4_strips_to_path2(self):
-        assert core_split(Tree.path(4)) == {1: ((0,), (2,)), 2: ((3,), (1,))}
+        assert core_split(path_of_order(4)) == {1: ((0,), (2,)), 2: ((3,), (1,))}
 
     def test_star_strips_to_center(self):
-        assert core_split(Tree.star(5)) == {0: ((1, 2, 3, 4), ())}
+        assert core_split(star_of_order(5)) == {0: ((1, 2, 3, 4), ())}
 
     def test_t_star_strips_to_star(self):
         # T* numbers the hub 0, core leaves 1..s-1, their pendants s..2s-2
@@ -261,7 +260,7 @@ class TestStripPendants:
 
     def test_too_small_to_strip(self):
         assert core_split(Tree.from_edges(1, [])) == {}
-        assert core_split(Tree.path(2)) == {}
+        assert core_split(path_of_order(2)) == {}
 
     def test_split_partitions_the_neighbors(self):
         for t in query_sweep():
@@ -279,15 +278,15 @@ class TestCanonicalCode:
     """Relabeling invariance of the canonical code, ``canonical_levels``."""
 
     def test_relabelings_of_p4_agree(self):
-        base = Tree.path(4)
+        base = path_of_order(4)
         codes = {
-            canonical_levels(base.relabel(list(perm)))
+            canonical_levels(relabel(base, list(perm)))
             for perm in itertools.permutations(range(4))
         }
         assert codes == {(0, 1, 2, 1)}
 
     def test_p4_and_s4_differ(self):
-        assert canonical_levels(Tree.path(4)) != canonical_levels(Tree.star(4))
+        assert canonical_levels(path_of_order(4)) != canonical_levels(star_of_order(4))
 
     def test_all_labeled_trees_on_4_vertices_give_2_codes(self):
         codes = set()
@@ -315,11 +314,11 @@ class TestCanonicalCode:
             for _ in range(10):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                assert canonical_levels(t.relabel(perm)) == code
+                assert canonical_levels(relabel(t, perm)) == code
 
     def test_centers_of_paths(self):
-        assert tree_centers(Tree.path(5)) == [2]
-        assert tree_centers(Tree.path(6)) == [2, 3]
+        assert tree_centers(path_of_order(5)) == [2]
+        assert tree_centers(path_of_order(6)) == [2, 3]
 
 
 def _move_a_leaf(t, rng):
@@ -340,7 +339,7 @@ class TestCanonicalLevels:
             for levels in pure.iter_level_sequences(n):
                 perm = list(range(n))
                 rng.shuffle(perm)
-                t = Tree.from_level_sequence(levels).relabel(perm)
+                t = relabel(Tree.from_level_sequence(levels), perm)
                 assert canonical_levels(t) == levels
 
     def test_equal_exactly_when_isomorphic(self):
@@ -354,7 +353,7 @@ class TestCanonicalLevels:
             a = random_tree(n, rng)
             perm = list(range(n))
             rng.shuffle(perm)
-            b = (a.relabel(perm), _move_a_leaf(a, rng).relabel(perm),
+            b = (relabel(a, perm), relabel(_move_a_leaf(a, rng), perm),
                  random_tree(n, rng))[case % 3]
             same = canonical_levels(a) == canonical_levels(b)
             assert same == (interner.class_id_of_tree(a) == interner.class_id_of_tree(b))
@@ -362,8 +361,8 @@ class TestCanonicalLevels:
         assert outcomes >= {(0, True), (1, True), (1, False), (2, False)}
 
     def test_bicentral_trees(self):
-        assert canonical_levels(Tree.path(2)) == (0, 1)
-        assert canonical_levels(Tree.path(6)) == (0, 1, 2, 3, 1, 2)
+        assert canonical_levels(path_of_order(2)) == (0, 1)
+        assert canonical_levels(path_of_order(6)) == (0, 1, 2, 3, 1, 2)
         # centers 0 and 1: 0's half {0, 2, 3, 4} outweighs 1's half {1, 5, 6}
         # at equal height, so the stream roots the tree at 0; swapping the
         # labels 0 and 1 makes the first center the one to reject
@@ -371,7 +370,7 @@ class TestCanonicalLevels:
         levels = (0, 1, 2, 3, 1, 2, 1)
         assert levels in pure.iter_level_sequences(7)
         assert canonical_levels(t) == levels
-        assert canonical_levels(t.relabel([1, 0, 2, 3, 4, 5, 6])) == levels
+        assert canonical_levels(relabel(t, [1, 0, 2, 3, 4, 5, 6])) == levels
 
     def test_t_star_is_its_closed_form_sequence(self):
         for n in range(2, 15):
@@ -381,7 +380,7 @@ class TestCanonicalLevels:
     def test_long_path_stays_linear_in_memory(self):
         # a path keeps every vertex's joined lists alive unless they are
         # dropped once joined: about 130 MB here
-        t = Tree.path(8000)
+        t = path_of_order(8000)
         tracemalloc.start()
         try:
             levels = canonical_levels(t)
@@ -398,7 +397,7 @@ class TestEdgeListFormat:
         assert parse_edge_list(format_edge_list(t)) == t
 
     def test_star_rendering(self):
-        assert format_edge_list(Tree.star(6)) == "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+        assert format_edge_list(star_of_order(6)) == "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
 
     def test_order_one_rendering(self):
         assert format_edge_list(Tree.from_edges(1, [])) == "1\n"

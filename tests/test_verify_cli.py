@@ -27,7 +27,14 @@ from sombor_trees.verify import (
     verify,
 )
 
-from conftest import ROOT, IsoClassInterner, bind_backend, random_tree
+from conftest import (
+    ROOT,
+    IsoClassInterner,
+    bind_backend,
+    random_tree,
+    relabel,
+    star_of_order,
+)
 
 B = cli._WRITE_BATCH  # characters per batched stdout write
 
@@ -189,7 +196,7 @@ class TestCsv:
 class TestCliCompute:
     def test_star_output(self, tmp_path, capsys):
         path = tmp_path / "s5.txt"
-        path.write_text(format_edge_list(Tree.star(5)))
+        path.write_text(format_edge_list(star_of_order(5)))
         assert main(["compute", "--input", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["SO=16.492422502 alpha=4 class=Star", "levels=0,1,1,1,1"]
@@ -203,7 +210,7 @@ class TestCliCompute:
 
     def test_relabeled_input_gives_the_same_lines(self, tmp_path, capsys):
         path = tmp_path / "t64.txt"
-        path.write_text(format_edge_list(construct_t_star(6, 4).relabel([5, 2, 0, 4, 1, 3])))
+        path.write_text(format_edge_list(relabel(construct_t_star(6, 4), [5, 2, 0, 4, 1, 3])))
         assert main(["compute", "--input", str(path)]) == 0
         out = capsys.readouterr().out
         assert out == "SO=19.077520809 alpha=4 class=TStar\nlevels=0,1,2,1,1,1\n"
