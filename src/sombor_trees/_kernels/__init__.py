@@ -1,10 +1,10 @@
 """Kernel backend selection, plus the one-pass order fold.
 
-Prefers the compiled extension and falls back to the pure-Python module when
-it is absent.  Set SOMBOR_TREES_BACKEND=pure to force the fallback, or
-=compiled to fail loudly when the extension is missing; any other non-empty
-value is an ImportError.  Both backends expose the same callables and produce
-bit-identical output.
+SOMBOR_TREES_BACKEND=pure imports the pure-Python module.  Otherwise the
+compiled extension is tried; when it does not import, =compiled is an
+ImportError naming the build command, and an unset or empty value falls back
+to the pure module.  Any other value is an ImportError.  Both backends expose
+the same callables and produce bit-identical output.
 
 ``order_fold`` is the backend's own fold when it has one: the pure module
 fuses its generator, stats and fold in one walk.  Otherwise it is
@@ -17,33 +17,31 @@ import os
 
 _requested = os.environ.get("SOMBOR_TREES_BACKEND", "").strip().lower()
 
-if _requested == "pure":
-    from . import pure as _impl
-elif _requested == "compiled":
-    try:
-        from . import _speedups as _impl
-    except ImportError as exc:
-        raise ImportError(
-            "SOMBOR_TREES_BACKEND=compiled, but the compiled extension is not "
-            "built or does not load; build it with "
-            "`python setup.py build_ext --inplace`"
-        ) from exc
-elif _requested:
+if _requested not in ("", "pure", "compiled"):
     raise ImportError(
         f"SOMBOR_TREES_BACKEND must be 'pure' or 'compiled', got {_requested!r}"
     )
+if _requested == "pure":
+    from . import pure as _impl
 else:
     try:
         from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
+    except ImportError as exc:
+        if _requested == "compiled":
+            raise ImportError(
+                "SOMBOR_TREES_BACKEND=compiled, but the compiled extension is "
+                "not built or does not load; build it with "
+                "`python setup.py build_ext --inplace`"
+            ) from exc
         from . import pure as _impl  # type: ignore[no-redef]
 
 BACKEND = _impl.BACKEND
 iter_level_sequences = _impl.iter_level_sequences
 tree_stats_from_levels = _impl.tree_stats_from_levels
 
-# The backend's own callables.  _stream_fold is built on them and reads them
-# from this module at call time, so a wrapper set here sees every walk it makes.
+# The backend's own callables.  perfbench/tracer.py wraps the names listed
+# here; _stream_fold reads them from this module at call time, so a wrapper set
+# here sees every walk it makes.
 __all__ = [
     "BACKEND",
     "iter_level_sequences",

@@ -190,6 +190,3 @@ def main(argv=None) -> int:
 def entry() -> None:
     sys.exit(main())
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -214,25 +214,28 @@ def tree_centers(t: Tree) -> list[int]:
 
 def canonical_levels(t: Tree) -> tuple[int, ...]:
     """The canonical level sequence of t's class, the one the free-tree stream
-    yields.  It is rooted at the center; of two centers, at the first if
-    ``_free_check`` accepts that rooting and at the other if not.  Bottom up,
-    each vertex's list is its depth followed by its children's lists in
-    decreasing order; siblings share a depth, so they compare unshifted."""
-    centers = tree_centers(t)
-    for root in centers:
-        order, parent, depth = _walk(t.adjacency, root)
-        kids: list[list[list[int]] | None] = [[] for _ in order]
-        for v in reversed(order):  # children before parents
-            seq = [depth[v]]
-            if kids[v]:
-                kids[v].sort(reverse=True)
-                for s in kids[v]:
-                    seq += s
-                kids[v] = None  # drop the joined lists, or a long path keeps O(n^2)
-            if v != root:
-                kids[parent[v]].append(seq)
-        if root == centers[-1] or _free_check(seq)[0]:
-            return tuple(seq)
+    yields.  Bottom up, each vertex's list is its depth followed by its
+    children's lists in decreasing order; siblings share a depth, so they
+    compare unshifted.  The walk roots t at its first center.  A second center
+    heads the tallest root subtree, which comes first, ``seq[1:m]``; when
+    ``_free_check`` rejects this rooting, the stream roots t at that second
+    center, so the sequence is rotated across the central edge."""
+    root = tree_centers(t)[0]
+    order, parent, depth = _walk(t.adjacency, root)
+    kids: list[list[list[int]] | None] = [[] for _ in order]
+    for v in reversed(order):  # children before parents
+        seq = [depth[v]]
+        if kids[v]:
+            kids[v].sort(reverse=True)
+            for s in kids[v]:
+                seq += s
+            kids[v] = None  # drop the joined lists, or a long path keeps O(n^2)
+        if v != root:
+            kids[parent[v]].append(seq)
+    valid, m = _free_check(seq)
+    if not valid:
+        seq = [0, 1] + [x + 1 for x in seq[m:]] + [x - 1 for x in seq[2:m]]
+    return tuple(seq)
 
 
 def parse_edge_list(text: str) -> Tree:

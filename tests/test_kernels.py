@@ -355,15 +355,41 @@ class TestBackendSelection:
         assert last.startswith(b"ImportError: SOMBOR_TREES_BACKEND=compiled")
         assert b"python setup.py build_ext --inplace" in last
 
+    def test_failed_build_only_warns_and_leaves_the_pure_backend(self, tmp_path):
+        for name in ("setup.py", "pyproject.toml"):
+            shutil.copy(ROOT / name, tmp_path / name)
+        shutil.copytree(
+            ROOT / "src",
+            tmp_path / "src",
+            ignore=shutil.ignore_patterns("*.so", "*.pyd", "__pycache__"),
+        )
+        built = subprocess.run(
+            [sys.executable, "setup.py", "build_ext", "--inplace"],
+            cwd=tmp_path,
+            capture_output=True,
+            env=dict(os.environ, CC="/nonexistent/cc"),
+            timeout=120,
+        )
+        assert built.returncode == 0, built.stderr
+        binaries = [p for p in tmp_path.rglob("_speedups*") if p.suffix not in (".c", ".pyx")]
+        assert binaries == []
+        done = _import_package(None, tmp_path / "src")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [b"pure"]
+
 
 def _import_package(backend, path):
-    """``import sombor_trees`` in a fresh interpreter, from path first."""
-    env = dict(os.environ, SOMBOR_TREES_BACKEND=backend)
+    """``import sombor_trees`` in a fresh interpreter, from path first, printing
+    the backend it picked; backend None leaves SOMBOR_TREES_BACKEND unset."""
+    env = dict(os.environ)
+    env.pop("SOMBOR_TREES_BACKEND", None)
+    if backend is not None:
+        env["SOMBOR_TREES_BACKEND"] = backend
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(path), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", "import sombor_trees"],
+        [sys.executable, "-c", "import sombor_trees; print(sombor_trees.KERNEL_BACKEND)"],
         capture_output=True,
         env=env,
         timeout=60,
