@@ -9,8 +9,8 @@ compiled kernels, which is how the compiled backend folds until it exports
 its own.  Outside the timed region it checks that both backends drain the
 same stream, by a sha256 over each order's sequences, and that the two folds
 agree.  Then it times the ``enumerate`` command's work without its writes:
-``enumerate_family(17, 11)``, rendered by ``format_levels_edge_lists``.
-Run from an installed checkout:
+the records of ``enumerate_family(17, 11)``, which runs the pure walk on
+either backend.  Run from an installed checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
 
@@ -34,7 +34,6 @@ from pathlib import Path
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
 from sombor_trees.enumeration import enumerate_family
-from sombor_trees.tree import format_levels_edge_lists
 
 try:
     from sombor_trees._kernels import _speedups as compiled
@@ -79,8 +78,8 @@ def stream_digest(mod, n):
 
 @contextmanager
 def bound(mod):
-    """Bind mod's kernels in _kernels, where _stream_fold and enumerate_family
-    look them up, for the duration of the block."""
+    """Bind mod's kernels in _kernels, where _stream_fold looks them up, for
+    the duration of the block."""
     saved = _kernels.iter_level_sequences, _kernels.tree_stats_from_levels
     _kernels.iter_level_sequences = mod.iter_level_sequences
     _kernels.tree_stats_from_levels = mod.tree_stats_from_levels
@@ -88,13 +87,6 @@ def bound(mod):
         yield
     finally:
         _kernels.iter_level_sequences, _kernels.tree_stats_from_levels = saved
-
-
-def time_family(mod, n, alpha, repeat):
-    with bound(mod):
-        return timed(
-            lambda: "".join(format_levels_edge_lists(enumerate_family(n, alpha))), repeat
-        )
 
 
 def main():
@@ -128,14 +120,8 @@ def main():
         print(row)
 
     n, alpha = FAMILY
-    row = f"enumerate_family{FAMILY} + format_levels_edge_lists:"
-    tp, text = time_family(pure, n, alpha, args.repeat)
-    row += f" pure {tp:.4f}s"
-    if compiled is not None:
-        tc, ctext = time_family(compiled, n, alpha, args.repeat)
-        assert ctext == text, "backends disagree on the family's edge lists"
-        row += f" compiled {tc:.4f}s {tp / tc:.1f}x"
-    print(row)
+    tf, _ = timed(lambda: "".join(enumerate_family(n, alpha)), args.repeat)
+    print(f"enumerate_family{FAMILY}: {tf:.4f}s")
 
 
 if __name__ == "__main__":

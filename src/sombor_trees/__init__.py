@@ -1,12 +1,13 @@
 """Maximum Sombor index over trees with a fixed independence number.
 
 Library layout: ``tree`` (representation, canonical level sequence, edge-list
-I/O), ``enumeration`` (one tree per isomorphism class, streamed), ``extremal``
-(the maximizing construction, closed form and family classifier),
-``transforms`` (the checked rewiring moves), ``verify`` (the exhaustive
-brute-force driver) and ``cli`` (the command-line front end).  Hot loops
-live in ``_kernels`` with a compiled backend and a pure-Python fallback
-selected at import; the independent references that check them are tests.
+I/O), ``enumeration`` (the edge lists of one order's trees, one per
+isomorphism class, streamed from the pure walk), ``extremal`` (the maximizing
+construction, closed form and family classifier), ``transforms`` (the
+checked rewiring moves), ``verify`` (the exhaustive brute-force driver) and
+``cli`` (the command-line front end).  Hot loops live in ``_kernels`` with a
+compiled backend and a pure-Python fallback selected at import; the
+independent references that check them are tests.
 
 Import each name from its module.  The root binds only ``KERNEL_BACKEND``,
 the name of the backend in use, and ``__version__``; importing it selects

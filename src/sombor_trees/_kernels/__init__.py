@@ -10,7 +10,9 @@ the same callables and produce bit-identical output.
 fuses its generator, stats and fold in one walk.  Otherwise it is
 ``_stream_fold``, written here on ``iter_level_sequences`` and
 ``tree_stats_from_levels`` alone; the compiled backend folds through it until
-ROADMAP D6 exports an all-C ``order_fold``.
+ROADMAP D6 exports an all-C ``order_fold``.  Outside the fold only
+``compute`` reads a backend callable, the stats of its one tree:
+``enumeration.enumerate_family`` runs the pure walk on either backend.
 """
 
 import os

@@ -24,29 +24,31 @@ every other step goes through ``_successor``.  Suffix loops that average
 about 2 vertices are ``while`` loops, which cost less here than building a
 ``range``.
 
-``order_fold`` follows the walk the same way.  It takes each tree's parents
-from the walk, so a tree is decoded once, in the walk.  It keeps degrees,
-F = sum of deg**3 and the greedy matching's counts across trees, and redoes
-them in one reverse pass from the first index the walk changed, then on
-that index's ancestors.  The edges' radicands d_u**2 + d_v**2 add up to F,
-so by Cauchy-Schwarz SO <= sqrt((n - 1) * F).  The fold sums the Sombor index, in
-full and in vertex order, only when that bound, widened by the float sum's
-rounding bound gamma_{n+4} of ``verify._float_error``, reaches the cell's
-runner-up; it only counts the other trees, which provably cannot change the
-cell (the argument is in ``order_fold``).  It copies a sequence only when it
-sets a new best.  ``tree_stats_from_levels`` computes the same two numbers
-from scratch for one sequence; it decodes the sequence with the checked
-decoder ``tree._level_parents``, as ``Tree.from_level_sequence`` does, while
-the walk decodes incrementally for ``order_fold`` and
-``tree.format_levels_edge_lists`` keeps its own checked decode, which
-likewise redoes each sequence only from the first index that changed.
+``_trees`` follows the walk the same way, and both stream views consume
+it: ``order_fold`` and ``enumeration.enumerate_family``.  It takes each
+tree's parents from the walk, so a tree is decoded once, in the walk.  It
+keeps degrees, F = sum of deg**3 and the greedy matching's counts across
+trees, and redoes them in one reverse pass from the first index the walk
+changed, then on that index's ancestors, to yield each tree's independence
+number.  The edges' radicands d_u**2 + d_v**2 add up to F, so by
+Cauchy-Schwarz SO <= sqrt((n - 1) * F).  ``order_fold`` sums the Sombor
+index, in full and in vertex order, only when that bound, widened by the
+float sum's rounding bound gamma_{n+4} of ``verify._float_error``, reaches
+the cell's runner-up; it only counts the other trees, which provably cannot
+change the cell (the argument is in ``order_fold``).  It copies a sequence
+only when it sets a new best.  ``tree_stats_from_levels`` computes the same
+two numbers from scratch for one sequence; it decodes the sequence with the
+checked decoder ``tree._level_parents``, as ``Tree.from_level_sequence``
+does.
 
-The compiled backend mirrors the generator and the stats function for
-function, including the floating-point accumulation order, so both produce
-bit-identical results.  It folds through ``_kernels._stream_fold`` until
-ROADMAP D6 exports an all-C fold.  Its generator still lacks the tail reset,
-so it visits more sequences for the same stream; its filter mode
-(``use_jump=False``) is held to the same reference.
+The compiled backend mirrors ``iter_level_sequences`` and the stats function
+for function, including the floating-point accumulation order, so both
+produce bit-identical results.  It folds through ``_kernels._stream_fold``
+until ROADMAP D6 exports an all-C fold; no subcommand reaches the pure
+``iter_level_sequences``, which the tests keep as that generator's mirror
+until then.  The compiled generator still lacks the tail reset, so it visits
+more sequences for the same stream; its filter mode (``use_jump=False``) is
+held to the same reference.
 """
 
 from __future__ import annotations
@@ -203,69 +205,41 @@ def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(L)
 
 
-def order_fold(n: int) -> dict:
-    """Fold the whole order-n stream into every alpha cell in one walk.
+def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Walk the free-tree stream from ``_start(len(L))``: yield (lo, alpha, F)
+    once per free tree, lo as ``_walk`` yields it, alpha the tree's
+    independence number and F the sum of deg**3.
 
-    Returns the same cells as the shared ``_kernels._stream_fold``.  The fold
-    owns L and P from ``_start(n)`` and the walk hands it only lo, the first
-    changed index; degrees and the independence number follow the parents P.
-    One reverse pass over lo..n - 1 undoes each vertex's old edge, adds its
-    new one from P and settles the vertex, whose children all come later in
-    preorder and so are settled already.  Then the ancestors of lo - 1, the
-    only earlier vertices whose children changed, are settled up to the root.
-    The climb averages 2.5 steps a tree at n = 16.  Stopping it at the first
-    ancestor that keeps its flag once it is at or above every changed parent
-    skips at most 17% of those steps, and measured slower than climbing to the
-    root.
+    L and P from ``_start`` and deg, a list of len(L), belong to the caller,
+    who reads the tree from them at each yield: deg[v] is v's degree.  Kept
+    across trees, degrees and alpha follow the parents P.  One reverse pass
+    over lo..n - 1 undoes each vertex's old edge, adds its new one from P and
+    settles the vertex, whose children all come later in preorder and so are
+    settled already.  Then the ancestors of lo - 1, the only earlier vertices
+    whose children changed, are settled up to the root.  The climb averages
+    2.5 steps a tree at n = 16.  Stopping it at the first ancestor that keeps
+    its flag once it is at or above every changed parent skips at most 17% of
+    those steps, and measured slower than climbing to the root.
 
     Children come after their parent in preorder, so a greedy matching of each
     unmatched vertex to its unmatched parent, taken in reverse preorder, is a
     maximum matching, and alpha = n - nu by König's theorem, nu its size.  In
     DP form a vertex is matched from below when any of its children is left
     unmatched by its own subtree; free[v] counts those children of v, and nu
-    is the number of vertices matched from below.  The Sombor index is summed
-    in full, in vertex order, as the compiled backend sums it, but only for
-    trees that pass the Cauchy-Schwarz test below; the others are counted
-    and cannot change anything else in their cell.
-
-    F = sum of deg**3 follows the degrees: a degree going from d - 1 to d
-    adds cube[d] = 3d**2 - 3d + 1, and going back takes it away again.  Each
-    edge's radicand d_u**2 + d_v**2 gives every endpoint's d**2 once per
-    incident edge, so the radicands add up to F, and Cauchy-Schwarz over the
-    n - 1 edges gives SO <= sqrt((n - 1) * F).  With u = 2**-53 and gamma =
-    gamma_{n+4} = (n + 4)u / (1 - (n + 4)u) as in ``verify._float_error``,
-    the float sum so, n - 1 correctly rounded roots of exact radicands added
-    in vertex order, satisfies so <= SO * (1 + gamma), and
-    1 / (1 + gamma) = 1 - (n + 4)u.  Whenever runner[a] = r > 0 changes,
-    thr[a] = y * y with y = r * shrink and shrink = 1 - (n + 6)u, a float
-    held exactly.  Two round-to-nearest products give thr <= r**2 * shrink**2
-    * (1 + u)**3 < (r * (1 - (n + 4)u))**2, since (1 - (n + 6)u) * (1 + u)**1.5
-    <= (1 - (n + 6)u) * (1 + 2u) < 1 - (n + 4)u.  Python compares the int
-    (n - 1) * F with the float thr exactly, so a skipped tree has
-    SO <= sqrt((n - 1) * F) < sqrt(thr) < r / (1 + gamma), and so < r: its
-    float SO lies strictly below the runner-up, itself below the best.  It
-    cannot change best, ties, runner or first, and no exact tie, with the
-    best or with the runner-up, is ever skipped.  Before a cell has a
-    runner-up thr[a] is 0.0, which no (n - 1) * F >= 0 lies below.
+    is the number of vertices matched from below.  F follows the degrees: a
+    degree going from d - 1 to d adds cube[d] = 3d**2 - 3d + 1, and going back
+    takes it away again.
     """
-    L, P = _start(n)
-    roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
+    n = len(L)
     cube = [3 * d * d - 3 * d + 1 for d in range(n)]  # d**3 - (d - 1)**3
-    shrink = 1.0 - (n + 6) * 2.0**-53
     edges = n - 1
     # the star; the first tree redoes L[1:]
     parent = [0] * n
-    deg = [edges] + [1] * edges
+    deg[:] = [edges] + [1] * edges
     F = edges**3 + edges
     free = [edges] + [0] * edges
     below = [False] * n
     nu = 0  # vertices other than the root matched from below
-    count = [0] * (n + 1)
-    best = [float("-inf")] * (n + 1)
-    runner = [float("-inf")] * (n + 1)
-    thr = [0.0] * (n + 1)
-    ties = [0] * (n + 1)
-    first = [None] * (n + 1)
     for lo in _walk(L, P):
         i = n - 1
         while i >= lo:  # not range: the suffix averages about 2 vertices
@@ -302,13 +276,55 @@ def order_fold(n: int) -> dict:
                     nu -= 1
                     free[parent[v]] += 1
             v = parent[v]
-        a = n - nu - (free[0] > 0)
+        yield lo, n - nu - (free[0] > 0), F
+
+
+def order_fold(n: int) -> dict:
+    """Fold the whole order-n stream into every alpha cell in one walk.
+
+    Returns the same cells as the shared ``_kernels._stream_fold``.  The fold
+    takes each tree's alpha, degrees and F = sum of deg**3 from ``_trees``.
+    The Sombor index is summed in full, in vertex order, as the compiled
+    backend sums it, but only for trees that pass the Cauchy-Schwarz test
+    below; the others are counted and cannot change anything else in their
+    cell.
+
+    Each edge's radicand d_u**2 + d_v**2 gives every endpoint's d**2 once per
+    incident edge, so the radicands add up to F, and Cauchy-Schwarz over the
+    n - 1 edges gives SO <= sqrt((n - 1) * F).  With u = 2**-53 and gamma =
+    gamma_{n+4} = (n + 4)u / (1 - (n + 4)u) as in ``verify._float_error``,
+    the float sum so, n - 1 correctly rounded roots of exact radicands added
+    in vertex order, satisfies so <= SO * (1 + gamma), and
+    1 / (1 + gamma) = 1 - (n + 4)u.  Whenever runner[a] = r > 0 changes,
+    thr[a] = y * y with y = r * shrink and shrink = 1 - (n + 6)u, a float
+    held exactly.  Two round-to-nearest products give thr <= r**2 * shrink**2
+    * (1 + u)**3 < (r * (1 - (n + 4)u))**2, since (1 - (n + 6)u) * (1 + u)**1.5
+    <= (1 - (n + 6)u) * (1 + 2u) < 1 - (n + 4)u.  Python compares the int
+    (n - 1) * F with the float thr exactly, so a skipped tree has
+    SO <= sqrt((n - 1) * F) < sqrt(thr) < r / (1 + gamma), and so < r: its
+    float SO lies strictly below the runner-up, itself below the best.  It
+    cannot change best, ties, runner or first, and no exact tie, with the
+    best or with the runner-up, is ever skipped.  Before a cell has a
+    runner-up thr[a] is 0.0, which no (n - 1) * F >= 0 lies below.
+    """
+    L, P = _start(n)
+    deg = [0] * n
+    roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
+    shrink = 1.0 - (n + 6) * 2.0**-53
+    edges = n - 1
+    count = [0] * (n + 1)
+    best = [float("-inf")] * (n + 1)
+    runner = [float("-inf")] * (n + 1)
+    thr = [0.0] * (n + 1)
+    ties = [0] * (n + 1)
+    first = [None] * (n + 1)
+    for _, a, F in _trees(L, P, deg):
         count[a] += 1
         if edges * F < thr[a]:
             continue
         so = 0.0
         for i in range(1, n):
-            so += roots[deg[i]][deg[parent[i]]]
+            so += roots[deg[i]][deg[P[i]]]
         b = best[a]
         if so > b:
             runner[a] = b

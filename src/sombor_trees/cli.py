@@ -17,15 +17,9 @@ import sys
 from pathlib import Path
 
 from . import _kernels
-from .enumeration import enumerate_family
 from .errors import SomborTreesError
 from .extremal import classify, construct_t_star
-from .tree import (
-    canonical_levels,
-    format_edge_list,
-    format_levels_edge_lists,
-    parse_edge_list,
-)
+from .tree import canonical_levels, format_edge_list, parse_edge_list
 from .verify import DEFAULT_VERIFY_CAP, check_orders, render_text, to_csv, verify
 
 
@@ -163,8 +157,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    records = format_levels_edge_lists(enumerate_family(args.n, args.alpha))
-    if not _write_stdout(records, sep="\n"):
+    # imported here: the record generator runs the pure walk on either
+    # backend, and the other subcommands of a compiled run never load it
+    from .enumeration import enumerate_family
+
+    if not _write_stdout(enumerate_family(args.n, args.alpha), sep="\n"):
         print("family empty", file=sys.stderr)
     return 0
 

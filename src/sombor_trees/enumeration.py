@@ -1,29 +1,42 @@
 """Streaming enumeration of non-isomorphic trees.
 
-The stream comes from the level-sequence kernels: exactly one representative
-per isomorphism class, in a deterministic order (decreasing lexicographic on
-the canonical level sequence).  Its independent reference routes, Prüfer
-decoding of every labeled tree and random labeled trees, live with the tests.
+The stream is the pure walk: exactly one representative per isomorphism
+class, in a deterministic order (decreasing lexicographic on the canonical
+level sequence).  Its independent reference routes, Prüfer decoding of every
+labeled tree and random labeled trees, live with the tests.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from . import _kernels
+from ._kernels.pure import _start, _trees
 from .errors import OrderRangeError, SizeLimitError
+from .tree import _numerals
 
 DEFAULT_ORDER_CAP = 20
 
 
-def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ...]]:
-    """The canonical level sequences of the order-n stream with independence
-    number alpha (all of them when alpha is None).
+def enumerate_family(n: int, alpha: int | None = None) -> Iterator[str]:
+    """The edge list of each tree of the order-n stream with independence
+    number alpha (all of them when alpha is None), in stream order:
+    ``format_edge_list(Tree.from_level_sequence(L))`` for each canonical
+    level sequence L, without the Trees.  Infeasible alphas simply produce an
+    empty stream.
 
-    The kernel decides alpha from the level sequence, and no Tree is built;
-    ``tree.format_levels_edge_lists`` prints the stream as edge lists,
-    redoing per sequence only the suffix that changed since the last.
-    Infeasible alphas simply produce an empty stream.
+    ``pure._trees`` gives each tree's alpha with the walk's parents P live.
+    Each edge line "p i" is filed under its parent p, in a bucket per parent.
+    ``Tree.edges()`` lists the edges by their smaller end, then the larger;
+    every parent precedes its children, so that is by parent, and vertices are
+    filed in increasing order, so each bucket already holds its children in
+    increasing order.  Joining the buckets in parent order gives those bytes
+    with no sort.  The buckets carry over from one record to the next: with
+    low the smallest index the walk changed since the last record, each
+    vertex i >= low takes its line back out (``cut[i]`` is its bucket's
+    length just before the line went in), and vertices low..n-1 are filed
+    again from P.  Each bucket is a string grown by concatenation, so a
+    vertex of degree d costs O(d^2) character copies, negligible at orders up
+    to the cap.
     """
     if n < 1:
         raise OrderRangeError(f"order must be >= 1, got {n}")
@@ -31,6 +44,28 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[tuple[int, ..
         raise SizeLimitError(
             f"order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}"
         )
-    for levels in _kernels.iter_level_sequences(n):
-        if alpha is None or _kernels.tree_stats_from_levels(levels)[1] == alpha:
-            yield levels
+    sp, nl = _numerals(n)
+    lines = [nl[n]] + [""] * n  # lines[p + 1] is p's bucket
+    parent = [0] * n
+    cut = [0] * n
+    L, P = _start(n)
+    low = n
+    for lo, a, _ in _trees(L, P, [0] * n):
+        if lo < low:
+            low = lo
+        if a != alpha and alpha is not None:
+            continue
+        i = n - 1
+        while i >= low:  # not range: the suffix averages 2 to 3 vertices
+            q = parent[i] + 1
+            lines[q] = lines[q][: cut[i]]
+            i -= 1
+        while i < n - 1:
+            i += 1
+            p = P[i]
+            parent[i] = p
+            b = lines[p + 1]
+            cut[i] = len(b)
+            lines[p + 1] = b + (sp[p] + nl[i])
+        low = n
+        yield "".join(lines)

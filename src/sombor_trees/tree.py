@@ -18,9 +18,9 @@ from .errors import EdgeListParseError, TreeStructureError
 
 def _level_parents(levels: Sequence[int]) -> list[int]:
     """Parent of each vertex of a preorder depth sequence starting at level 0;
-    the root's entry is -1.  Every parent precedes its children.
-    ``format_levels_edge_lists`` makes the same checks, with the same
-    messages, in its own pass."""
+    the root's entry is -1.  Every parent precedes its children.  The one
+    checked decoder: ``Tree.from_level_sequence``, the kernels' stats and the
+    walk's start decode through it."""
     n = len(levels)
     if n < 1:
         raise ValueError("empty level sequence")
@@ -292,7 +292,8 @@ def parse_edge_list(text: str) -> Tree:
 
 @functools.lru_cache(maxsize=1)
 def _numerals(n: int) -> tuple[list[str], list[str]]:
-    r"""The two edge-list formatters' numeral tables: "i " and "i\n", i = 0..n.
+    r"""The edge-list formatters' numeral tables: "i " and "i\n", i = 0..n.
+    ``format_edge_list`` and ``enumeration.enumerate_family`` share them.
     Only the latest order's tables are kept; a run prints one order."""
     return [f"{i} " for i in range(n + 1)], [f"{i}\n" for i in range(n + 1)]
 
@@ -302,76 +303,3 @@ def format_edge_list(t: Tree) -> str:
     the numeral tables."""
     sp, nl = _numerals(t.order)
     return nl[t.order] + "".join([sp[u] + nl[v] for u, v in t.edges()])
-
-
-def format_levels_edge_lists(seqs: Iterable[Sequence[int]]) -> Iterator[str]:
-    """``format_edge_list(Tree.from_level_sequence(L))`` for each L of seqs,
-    in order, without the Trees.
-
-    Each edge line "p i" is filed under its parent p, in a bucket per parent.
-    ``Tree.edges()`` lists the edges by their smaller end, then the larger;
-    every parent precedes its children, so that is by parent, and vertices are
-    met in increasing order, so each bucket already holds its children in
-    increasing order.  Joining the buckets in parent order gives those bytes
-    with no sort.
-
-    Consecutive sequences of the free-tree stream differ only in a short
-    suffix, so the buckets carry over from one sequence to the next: with lo
-    the first index where L differs from the previous sequence, each vertex
-    i >= lo takes its line back out (``cut[i]`` is its bucket's length just
-    before the line went in), and vertices lo..n-1 are filed again.  A vertex
-    finds its parent by climbing from i - 1, checked as ``_level_parents``
-    checks, with the same messages.  A change of order starts afresh.  Each
-    bucket is a string grown by concatenation, so a vertex of degree d costs
-    O(d^2) character copies, negligible at the stream's orders.
-
-    Each L is copied to a tuple first, so a list the caller rewrites in place
-    cannot alias the previous sequence.  After a ValueError the generator is
-    finished, so no partial state is reused.
-    """
-    prev: tuple[int, ...] = ()
-    for levels in seqs:
-        levels = tuple(levels)
-        n = len(levels)
-        if n < 1:
-            raise ValueError("empty level sequence")
-        if levels[0] != 0:
-            raise ValueError("level sequence must start with 0")
-        if n != len(prev):
-            sp, nl = _numerals(n)
-            lines = [nl[n]] + [""] * n  # lines[p + 1] is p's bucket
-            parent = [0] * n
-            cut = [0] * n
-            lo = 1
-        else:
-            # lo is the first index where levels and prev differ; the probe
-            # stops at a k with equal prefixes, k <= lo, and the scan goes on
-            k = n - 2
-            while k > 1 and levels[:k] != prev[:k]:
-                k -= 3
-            k = max(k, 1)
-            while k < n and levels[k] == prev[k]:
-                k += 1
-            lo = k
-            i = n - 1
-            while i >= lo:  # not range: the suffix averages 2 to 3 vertices
-                q = parent[i] + 1
-                lines[q] = lines[q][: cut[i]]
-                i -= 1
-        last = levels[lo - 1]
-        i = lo
-        while i < n:
-            li = levels[i]
-            if not 1 <= li <= last + 1:
-                raise ValueError(f"level jump at position {i}")
-            p = i - 1
-            while levels[p] >= li:
-                p = parent[p]
-            parent[i] = p
-            b = lines[p + 1]
-            cut[i] = len(b)
-            lines[p + 1] = b + (sp[p] + nl[i])
-            last = li
-            i += 1
-        prev = levels
-        yield "".join(lines)

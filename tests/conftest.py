@@ -4,8 +4,8 @@ enumeration sweeps, and the independent references the package leaves to the
 tests: the rooted stream and its free-check filter, the path and distance
 queries, Prüfer decoding, the isomorphism-class interner with automorphism
 counts, the paper's two invariants of a labeled tree and the subset-sweep
-independence oracle, the per-record edge-list formatter, and the paper's
-test-only trees, sets and inequalities."""
+independence oracle, and the paper's test-only trees, sets and
+inequalities."""
 
 import heapq
 import importlib.util
@@ -28,7 +28,7 @@ from sombor_trees.tree import (
     _free_check,
     _walk,
     canonical_levels,
-    format_levels_edge_lists,
+    parse_edge_list,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,9 +74,10 @@ def compiled(tmp_path_factory):
 
 def bind_backend(monkeypatch, mod):
     """Bind mod's generator and stats in ``_kernels``, where ``_stream_fold``
-    and ``enumerate_family`` look them up; monkeypatch restores them.  The pure
-    backend's fused ``order_fold`` walks on its own and ignores them; the
-    compiled backend folds through ``_stream_fold`` until ROADMAP D6."""
+    looks them up, and ``compute`` the stats; monkeypatch restores them.  The
+    pure backend's fused ``order_fold`` and ``enumerate_family`` run the pure
+    walk and ignore them; the compiled backend folds through ``_stream_fold``
+    until ROADMAP D6."""
     monkeypatch.setattr(_kernels, "iter_level_sequences", mod.iter_level_sequences)
     monkeypatch.setattr(_kernels, "tree_stats_from_levels", mod.tree_stats_from_levels)
 
@@ -129,8 +130,9 @@ def relabel(t, perm):
 
 @lru_cache(maxsize=None)
 def trees_of_order(n):
-    """Materialized enumeration stream, cached across tests."""
-    return tuple(map(Tree.from_level_sequence, enumerate_family(n)))
+    """Materialized enumeration stream, each record read back through
+    ``parse_edge_list``, cached across tests."""
+    return tuple(map(parse_edge_list, enumerate_family(n)))
 
 
 @lru_cache(maxsize=None)
@@ -329,12 +331,6 @@ def independence_number(t: Tree) -> int:
     """Size of a maximum independent set, by the bound kernel's stats on the
     tree's canonical level sequence."""
     return _kernels.tree_stats_from_levels(canonical_levels(t))[1]
-
-
-def format_levels_edge_list(levels) -> str:
-    """One sequence through the stream formatter: the edge list of
-    ``Tree.from_level_sequence(levels)``."""
-    return next(format_levels_edge_lists([levels]))
 
 
 INDEPENDENCE_ORACLE_MAX = 24

@@ -8,7 +8,7 @@ import pytest
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import OrderRangeError, SizeLimitError
-from sombor_trees.tree import Tree, canonical_levels
+from sombor_trees.tree import Tree, canonical_levels, parse_edge_list
 
 from conftest import (
     filtered_rooted_stream,
@@ -83,18 +83,16 @@ class TestIsomorphismExactness:
 
 class TestDeterminism:
     def test_stream_order_is_reproducible(self):
-        first = [canonical_levels(Tree.from_level_sequence(levels))
-                 for levels in enumerate_family(9)]
-        second = [canonical_levels(Tree.from_level_sequence(levels))
-                  for levels in enumerate_family(9)]
+        first = [canonical_levels(parse_edge_list(text)) for text in enumerate_family(9)]
+        second = [canonical_levels(parse_edge_list(text)) for text in enumerate_family(9)]
         assert first == second == list(pure.iter_level_sequences(9))
 
 
 class TestFamilies:
     def test_alpha_n_minus_1_is_the_star(self):
         family = list(enumerate_family(6, 5))
-        assert family == [(0, 1, 1, 1, 1, 1)]
-        assert Tree.from_level_sequence(family[0]).degrees.count(5) == 1
+        assert family == ["6\n0 1\n0 2\n0 3\n0 4\n0 5\n"]
+        assert parse_edge_list(family[0]).degrees.count(5) == 1
 
     def test_infeasible_alpha_is_empty(self):
         assert list(enumerate_family(6, 2)) == []
@@ -103,16 +101,13 @@ class TestFamilies:
         assert len(list(enumerate_family(7, 4))) == 6
 
     def test_filter_matches_library_dp(self):
-        # the kernel's alpha decides membership; the subset oracle must agree
+        # the walk's alpha decides membership; the subset oracle must agree
         for n in range(1, 12):
             stream = list(enumerate_family(n))
-            alphas = [
-                independence_number_oracle(Tree.from_level_sequence(levels))
-                for levels in stream
-            ]
+            alphas = [independence_number_oracle(parse_edge_list(text)) for text in stream]
             for alpha in range(1, n + 1):
                 expected = [
-                    levels for levels, a in zip(stream, alphas) if a == alpha
+                    text for text, a in zip(stream, alphas) if a == alpha
                 ]
                 assert list(enumerate_family(n, alpha)) == expected, (n, alpha)
 

@@ -27,6 +27,7 @@ UNREACHED = {
     "tree.py:Tree._check_vertex": "D10 pending",
     "tree.py:Tree.from_level_sequence": "tracer target of perfbench/tracer.py",
     "_kernels/__init__.py:_stream_fold": "compiled fold: the compiled backend's order_fold",
+    "_kernels/pure.py:iter_level_sequences": "the compiled export's mirror, until D6",
     "cli.py:entry": "console entry of the installed sombor-trees script",
     **{
         f"tree.py:Tree.{name}": "Tree value-object method"

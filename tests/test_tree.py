@@ -16,7 +16,6 @@ from sombor_trees.tree import (
     canonical_levels,
     core_split,
     format_edge_list,
-    format_levels_edge_lists,
     parse_edge_list,
     tree_centers,
 )
@@ -25,7 +24,6 @@ from conftest import (
     IsoClassInterner,
     distance,
     distances_from,
-    format_levels_edge_list,
     path_of_order,
     pendant_vertices,
     prufer_to_tree,
@@ -403,66 +401,25 @@ class TestEdgeListFormat:
         assert format_edge_list(Tree.from_edges(1, [])) == "1\n"
 
     def test_levels_rendering_matches_tree_rendering(self):
-        # whole streams, and every family up to 12, each record formatted
-        # after the one before it
+        # every record of the generator is the edge list of its tree: whole
+        # streams up to 14, and every family up to 12, filtered by the
+        # standalone stats over the reference generator
         for n in range(1, 15):
-            streams = [list(pure.iter_level_sequences(n))]
+            seqs = list(pure.iter_level_sequences(n))
+            texts = [format_edge_list(Tree.from_level_sequence(L)) for L in seqs]
+            assert list(enumerate_family(n)) == texts, n
             if n <= 12:
-                streams += [list(enumerate_family(n, alpha)) for alpha in range(n + 1)]
-            for seqs in streams:
-                assert list(format_levels_edge_lists(seqs)) == [
-                    format_edge_list(Tree.from_level_sequence(levels)) for levels in seqs
-                ], n
-        assert format_levels_edge_list((0,)) == "1\n"
-        assert format_levels_edge_list((0, 1)) == "2\n0 1\n"
-
-    def test_stream_rendering_of_a_live_list(self):
-        # pure._walk rewrites the caller's list in place between records
-        for n in range(1, 13):
-            L, P = pure._start(n)
-            expected = [format_edge_list(Tree.from_level_sequence(L)) for _ in pure._walk(L, P)]
-            L, P = pure._start(n)
-            assert list(format_levels_edge_lists(L for _ in pure._walk(L, P))) == expected
-
-    def test_stream_rendering_of_a_repeated_sequence(self):
-        levels = (0, 1, 2, 1, 2, 2, 1)
-        text = format_edge_list(Tree.from_level_sequence(levels))
-        assert list(format_levels_edge_lists([levels, levels, list(levels)])) == [text] * 3
-
-    def test_levels_rendering_beyond_the_stream_orders(self):
-        # from an empty numeral cache: rising orders, then falling ones
-        tree_module._numerals.cache_clear()
-        rng = random.Random(15)
-        orders = [*range(15, 301, 19), *range(300, 14, -23)]
-        for n in orders:
-            levels = canonical_levels(random_tree(n, rng))
-            assert format_levels_edge_list(levels) == format_edge_list(
-                Tree.from_level_sequence(levels)
-            ), n
-        assert len(tree_module._numerals(max(orders))[1]) == max(orders) + 1
-
-    def test_levels_rendering_of_non_canonical_sequences(self):
-        # any valid sequence, not only the stream's: L[i] uniform in 1..L[i-1]+1
-        rng = random.Random(22)
-        seqs = []
-        for n in range(1, 81):
-            for _ in range(4):
-                levels = [0]
-                for _ in range(n - 1):
-                    levels.append(rng.randint(1, levels[-1] + 1))
-                assert format_levels_edge_list(levels) == format_edge_list(
-                    Tree.from_level_sequence(levels)
-                ), levels
-                seqs.append(levels)
-        # the same sequences as one stream, the orders interleaved
-        rng.shuffle(seqs)
-        assert list(format_levels_edge_lists(seqs)) == [
-            format_edge_list(Tree.from_level_sequence(levels)) for levels in seqs
-        ]
+                alphas = [pure.tree_stats_from_levels(L)[1] for L in seqs]
+                for alpha in range(n + 2):
+                    assert list(enumerate_family(n, alpha)) == [
+                        text for text, a in zip(texts, alphas) if a == alpha
+                    ], (n, alpha)
+        assert list(enumerate_family(1)) == ["1\n"]
+        assert list(enumerate_family(2, 1)) == ["2\n0 1\n"]
 
     def test_numeral_cache_keeps_one_order(self):
         for n in range(1, 401):
-            format_levels_edge_list(tuple(range(n)))
+            format_edge_list(path_of_order(n))
         assert tree_module._numerals.cache_info().currsize == 1
 
     @pytest.mark.parametrize(
@@ -470,14 +427,10 @@ class TestEdgeListFormat:
         [(), (1, 0), (0, 2), (1,), (0, 0), (0, -1), (0, 1, 3), (0, 1, 2, 1, 3)],
     )
     def test_bad_level_sequence_rejected(self, levels):
-        # the stream formatter checks in its own pass, as a first record and
-        # after a valid one of the same order; the others decode through
-        # _level_parents: all must agree on the message
-        valid = tuple(range(len(levels))) or (0,)
+        # every checked decode goes through _level_parents: all must agree on
+        # the message
         messages = set()
         for decode in (
-            format_levels_edge_list,
-            lambda bad: list(format_levels_edge_lists([valid, bad])),
             tree_module._level_parents,
             Tree.from_level_sequence,
             pure.tree_stats_from_levels,
@@ -486,12 +439,6 @@ class TestEdgeListFormat:
                 decode(levels)
             messages.add(str(info.value))
         assert len(messages) == 1, messages
-        # a stream that raised is finished: no record after the bad one
-        stream = format_levels_edge_lists([valid, levels, valid])
-        next(stream)
-        with pytest.raises(ValueError):
-            next(stream)
-        assert list(stream) == []
 
     def test_self_loop_reports_line(self):
         with pytest.raises(EdgeListParseError, match="line 2: self-loop") as info:

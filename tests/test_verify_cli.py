@@ -30,7 +30,6 @@ from sombor_trees.verify import (
 from conftest import (
     ROOT,
     IsoClassInterner,
-    bind_backend,
     random_tree,
     relabel,
     star_of_order,
@@ -331,17 +330,28 @@ class TestCliEnumerate:
 
     @pytest.mark.parametrize("backend", ["pure", "compiled"])
     def test_stdout_matches_reference_digests(self, backend, request, monkeypatch, capsys):
-        # the benchmark's reference bytes; (17, 11) is too slow for pure
+        # the benchmark's reference bytes with either backend bound.  enumerate
+        # runs the pure walk on both and calls no backend callable
         reference = json.loads(
             (ROOT / "perfbench" / "reference" / "enumerate.json").read_text(encoding="utf-8")
         )
         kern = pure if backend == "pure" else request.getfixturevalue("compiled")
-        bind_backend(monkeypatch, kern)
-        cells = [(8, 5)] if backend == "pure" else [(8, 5), (17, 11)]
-        for n, alpha in cells:
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(_kernels, "iter_level_sequences", spy(kern.iter_level_sequences))
+        monkeypatch.setattr(_kernels, "tree_stats_from_levels", spy(kern.tree_stats_from_levels))
+        for n, alpha in [(8, 5), (17, 11)]:
             assert main(["enumerate", "--n", str(n), "--alpha", str(alpha)]) == 0
             out = capsys.readouterr().out.encode("utf-8")
             assert hashlib.sha256(out).hexdigest() == reference[f"{n},{alpha}"], (n, alpha)
+        assert calls == []
 
     def test_reader_closing_the_pipe_is_no_error(self, tmp_path):
         env = dict(os.environ)
@@ -600,3 +610,23 @@ class TestStartupImports:
         assert code == 0 and names >= {"dataclasses", "inspect"}
         code, names = _imports("-c", "import sombor_trees.transforms")
         assert code == 0 and "sombor_trees.transforms" in names
+
+    def test_a_compiled_start_loads_no_pure_kernels(self, tmp_path):
+        # under PYTHONDONTWRITEBYTECODE every start compiles what it imports;
+        # only enumerate, which runs the pure walk on either backend, needs
+        # the pure module
+        if _kernels.BACKEND != "compiled":
+            pytest.skip("the pure backend is the pure module")
+        tree = tmp_path / "tree.txt"
+        tree.write_text(format_edge_list(construct_t_star(7, 4)))
+        for args in [
+            ("-c", "import sombor_trees, sombor_trees.cli"),
+            ("-m", "sombor_trees", "verify", "--n-max", "6"),
+            ("-m", "sombor_trees", "compute", "--input", str(tree)),
+        ]:
+            code, names = _imports(*args)
+            assert code == 0 and "sombor_trees._kernels._speedups" in names, args
+            assert "sombor_trees._kernels.pure" not in names, args
+        # the control: enumerate does load it
+        code, names = _imports("-m", "sombor_trees", "enumerate", "--n", "6")
+        assert code == 0 and "sombor_trees._kernels.pure" in names
