@@ -65,14 +65,15 @@ def _successor(L: list[int], P: list[int], p: int | None) -> int:
     """Advance L and its parent array P in place to the next canonical rooted
     sequence.
 
-    p >= 1 forces the change at that index; None, or a forced index already at
-    level 1, takes the natural chop at the last entry above level 1.  Returns
-    the first index rewritten, or 0, leaving L and P untouched, when the
-    stream is exhausted.  This is the walk's one general step; only the walk's
-    last-leaf step bypasses it.
+    p forces the change at that index, always at level >= 2: the walk forces
+    only m - 1 of a rejected sequence, and a first root subtree that is the
+    single vertex 1 is never rejected.  None takes the natural chop at the
+    last entry above level 1.  Returns the first index rewritten, or 0,
+    leaving L and P untouched, when the stream is exhausted.  This is the
+    walk's one general step; only the walk's last-leaf step bypasses it.
     """
     n = len(L)
-    if p is None or L[p] < 2:
+    if p is None:
         p = n - 1
         while p > 0 and L[p] == 1:
             p -= 1

@@ -11,7 +11,7 @@ are isomorphic, and it doubles as a dedup key.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EdgeListParseError, TreeStructureError
 
@@ -101,21 +101,26 @@ def _walk(
     return order, parent, depth
 
 
-class Tree:
-    """Undirected tree stored as a tuple of sorted neighbor tuples.
+class Tree(NamedTuple):
+    """Undirected tree stored as a tuple of sorted neighbor tuples, with the
+    degrees derived from it.
 
-    Instances are value objects: equality and hashing follow the labeled
-    adjacency, and nothing mutates after construction.  T*'s builder and the
-    rewirings go through the checked ``from_edges``; ``from_level_sequence``
-    builds trees by construction and skips it.
+    An immutable value type: equality, hashing and repr come from the tuple,
+    and they follow the labeled adjacency, since the degrees derive from it.
+    Every tree is built by ``_of``.  T*'s builder and the rewirings go through
+    the checked ``from_edges``; ``from_level_sequence`` builds trees by
+    construction and skips it.
     """
 
-    __slots__ = ("order", "adjacency", "degrees")
+    order: int
+    adjacency: tuple[tuple[int, ...], ...]
+    degrees: tuple[int, ...]
 
-    def __init__(self, order: int, adjacency: tuple[tuple[int, ...], ...]):
-        self.order = order
-        self.adjacency = adjacency
-        self.degrees = tuple(len(nbrs) for nbrs in adjacency)
+    @classmethod
+    def _of(cls, adj: Sequence[Iterable[int]]) -> "Tree":
+        """The one builder: sort each neighbor list and derive the degrees."""
+        adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        return cls(len(adjacency), adjacency, tuple(map(len, adjacency)))
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> "Tree":
@@ -146,19 +151,18 @@ class Tree:
         # connected + n-1 edges => acyclic
         if len(_walk(adj, 0)[0]) != order:
             raise TreeStructureError("edge list is disconnected")
-        return cls(order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        return cls._of(adj)
 
     @classmethod
     def from_level_sequence(cls, levels: Sequence[int]) -> "Tree":
         """Build from a preorder depth sequence starting at level 0."""
         parents = _level_parents(levels)
-        n = len(parents)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i in range(1, n):
+        adj: list[list[int]] = [[] for _ in parents]
+        for i in range(1, len(parents)):
             p = parents[i]
             adj[p].append(i)
             adj[i].append(p)
-        return cls(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+        return cls._of(adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
@@ -170,19 +174,6 @@ class Tree:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.order:
             raise ValueError(f"vertex {v} out of range for order {self.order}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tree)
-            and self.order == other.order
-            and self.adjacency == other.adjacency
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.adjacency))
-
-    def __repr__(self) -> str:
-        return f"Tree(order={self.order}, edges={list(self.edges())})"
 
 
 def core_split(t: Tree) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:

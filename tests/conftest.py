@@ -181,7 +181,7 @@ def prufer_to_tree(seq, order):
     if len(seq) != order - 2 or not all(0 <= s < order for s in seq):
         raise ValueError(f"not a Prüfer sequence over 0..{order - 1}: {seq}")
     adj = decode_prufer_adjacency(seq, order)
-    return Tree(order, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return Tree._of(adj)
 
 
 def random_tree(order, rng):

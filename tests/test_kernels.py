@@ -189,7 +189,9 @@ class TestPureKernels:
         # by its own last-leaf step or through _successor; from any other it
         # calls _successor forced at m - 1.  So the visits are the yields
         # plus the forced calls, and the full-scan _free_check must agree
-        # with the walk at every one of them
+        # with the walk at every one of them.  _successor has no fallback for
+        # a forced index at level 1: a first root subtree of one vertex is
+        # always accepted, so the walk never forces one there
         visited = 0
 
         def counting(L, P, p):
@@ -200,6 +202,7 @@ class TestPureKernels:
             else:
                 visited += 1
                 assert not valid and p == m - 1, (L, p, valid, m)
+                assert L[p] >= 2, (L, p)
             return successor(L, P, p)
 
         def yielding(L, P):

@@ -15,6 +15,7 @@ import sombor_trees
 from sombor_trees import _kernels
 from sombor_trees._kernels import pure
 from sombor_trees.cli import build_parser, main
+from sombor_trees.tree import Tree
 from sombor_trees.verify import VerificationReport, verify
 
 from conftest import ROOT, bind_backend
@@ -25,14 +26,13 @@ PACKAGE = Path(sombor_trees.__file__).resolve().parent
 UNREACHED = {
     "transforms.py": "D10 pending: the proof replay will run every move",
     "tree.py:Tree._check_vertex": "D10 pending",
-    "tree.py:Tree.from_level_sequence": "tracer target of perfbench/tracer.py",
+    "tree.py:Tree.from_level_sequence": (
+        "perfbench/tracer.py wraps it, but no subcommand calls it, so "
+        "tree.from_levels_ns reads 0 until ROADMAP D4a drops that metric"
+    ),
     "_kernels/__init__.py:_stream_fold": "compiled fold: the compiled backend's order_fold",
     "_kernels/pure.py:iter_level_sequences": "the compiled export's mirror, until D6",
     "cli.py:entry": "console entry of the installed sombor-trees script",
-    **{
-        f"tree.py:Tree.{name}": "Tree value-object method"
-        for name in ("__repr__", "__eq__", "__hash__")
-    },
 }
 
 
@@ -65,8 +65,9 @@ def test_root_answers_the_benchmark_probe():
     [
         lambda: verify(5, 5).records[0],
         lambda: VerificationReport(records=verify(5, 5).records, order_seconds=(0.0,)),
+        lambda: Tree.from_edges(3, [(0, 1), (1, 2)]),
     ],
-    ids=["ExtremalRecord", "VerificationReport"],
+    ids=["ExtremalRecord", "VerificationReport", "Tree"],
 )
 def test_value_types_are_immutable(make):
     value = make()
