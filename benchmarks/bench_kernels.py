@@ -3,7 +3,10 @@
 
 Times the two hot paths (draining the free-tree stream, and the one-pass
 order fold that the verifier runs once per order) for a range of orders and
-prints the speedups.  The pure fold is the pure backend's fused
+prints the speedups.  The "enum" columns drain ``iter_level_sequences``: the
+pure one drains ``pure._trees``, so it also pays for the degree, F and
+matching upkeep that the compiled generator does not keep, and its speedup
+is not like for like.  The pure fold is the pure backend's fused
 ``order_fold``; the compiled one is ``_kernels._stream_fold`` over the
 compiled kernels, which is how the compiled backend folds until it exports
 its own.  Outside the timed region it checks that both backends drain the

@@ -7,12 +7,13 @@ to the pure module.  Any other value is an ImportError.  Both backends expose
 the same callables and produce bit-identical output.
 
 ``order_fold`` is the backend's own fold when it has one: the pure module
-fuses its generator, stats and fold in one walk.  Otherwise it is
+folds the one generator that walks the stream and keeps each tree's stats,
+``pure._trees``.  Otherwise it is
 ``_stream_fold``, written here on ``iter_level_sequences`` and
 ``tree_stats_from_levels`` alone; the compiled backend folds through it until
 ROADMAP D6 exports an all-C ``order_fold``.  Outside the fold only
 ``compute`` reads a backend callable, the stats of its one tree:
-``enumeration.enumerate_family`` runs the pure walk on either backend.
+``enumeration.enumerate_family`` runs ``pure._trees`` on either backend.
 """
 
 import os

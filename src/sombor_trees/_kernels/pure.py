@@ -6,40 +6,35 @@ of their subsequences.  Canonical rooted sequences follow one another in
 strictly decreasing lexicographic order by the classic chop-and-replicate
 successor, ``_successor``, which rewrites the parent array along with the
 sequence; a free tree keeps the one center-rooted representative that
-``tree._free_check`` accepts.  The one walk, ``_walk``, skips
-invalid blocks by forcing the successor at the end of the first root subtree
-and, when that leaves the root a single deep child, by resetting the tail to
-a path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
+``tree._free_check`` accepts.  The one walk, ``_trees``, skips invalid
+blocks by forcing the successor at the end of the first root subtree and,
+when that leaves the root a single deep child, by resetting the tail to a
+path (Wright, Richmond, Odlyzko & McKay, "Constant time generation of free
 trees", SIAM J. Comput. 15(2), 1986): about 1.04 to 1.14 sequences visited
 per tree for n = 12..18.  The walk reaches ``_free_check``'s verdict from
 state it keeps across sequences and redoes only from the first index a step
 rewrote; its reference, in the tests, is a rooted stream with its own
 successor, filtered by the full-scan ``_free_check``.
 
-The caller owns the walk's two lists: ``_start(n)`` builds the sequence and
-its parent array, ``_walk(L, P)`` rewrites them in place and yields only the
-first index that changed.  When the last vertex is a leaf above level 1, as
-in about half the trees, the walk moves it up to its grandparent itself;
-every other step goes through ``_successor``.  Suffix loops that average
-about 2 vertices are ``while`` loops, which cost less here than building a
-``range``.
+The caller owns the walk's lists: ``_start(n)`` builds the sequence and its
+parent array, and ``_trees(L, P, deg)`` rewrites them and the degrees in
+place.  It yields, per tree, the first index that changed, the independence
+number and F = sum of deg**3, which it keeps across trees and redoes from
+that index on, so a tree is decoded once, in the walk.  Suffix loops that
+average about 2 vertices are ``while`` loops, which cost less here than
+building a ``range``.  Both stream views consume ``_trees``: ``order_fold``
+and ``enumeration.enumerate_family``; ``iter_level_sequences`` only drains
+it.
 
-``_trees`` follows the walk the same way, and both stream views consume
-it: ``order_fold`` and ``enumeration.enumerate_family``.  It takes each
-tree's parents from the walk, so a tree is decoded once, in the walk.  It
-keeps degrees, F = sum of deg**3 and the greedy matching's counts across
-trees, and redoes them in one reverse pass from the first index the walk
-changed, then on that index's ancestors, to yield each tree's independence
-number.  The edges' radicands d_u**2 + d_v**2 add up to F, so by
-Cauchy-Schwarz SO <= sqrt((n - 1) * F).  ``order_fold`` sums the Sombor
-index, in full and in vertex order, only when that bound, widened by the
-float sum's rounding bound gamma_{n+4} of ``verify._float_error``, reaches
-the cell's runner-up; it only counts the other trees, which provably cannot
-change the cell (the argument is in ``order_fold``).  It copies a sequence
-only when it sets a new best.  ``tree_stats_from_levels`` computes the same
-two numbers from scratch for one sequence; it decodes the sequence with the
-checked decoder ``tree._level_parents``, as ``Tree.from_level_sequence``
-does.
+The edges' radicands d_u**2 + d_v**2 add up to F, so by Cauchy-Schwarz
+SO <= sqrt((n - 1) * F).  ``order_fold`` sums the Sombor index, in full and
+in vertex order, only when that bound, widened by the float sum's rounding
+bound gamma_{n+4} of ``verify._float_error``, reaches the cell's runner-up;
+it only counts the other trees, which provably cannot change the cell (the
+argument is in ``order_fold``).  It copies a sequence only when it sets a
+new best.  ``tree_stats_from_levels`` computes the same two numbers from
+scratch for one sequence; it decodes the sequence with the checked decoder
+``tree._level_parents``, as ``Tree.from_level_sequence`` does.
 
 The compiled backend mirrors ``iter_level_sequences`` and the stats function
 for function, including the floating-point accumulation order, so both
@@ -102,14 +97,16 @@ def _start(n: int) -> tuple[list[int], list[int]]:
     return L, _level_parents(L)
 
 
-def _walk(L: list[int], P: list[int]) -> Iterator[int]:
-    """Walk the free-tree stream from ``_start(len(L))``: yield lo once per
-    free tree.
+def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Walk the free-tree stream from ``_start(len(L))``: yield (lo, alpha, F)
+    once per free tree, alpha the tree's independence number and F the sum
+    of deg**3.
 
-    L and P, the root's entry -1, belong to the caller, who reads the tree
-    from them at each yield; the walk rewrites both in place between yields.
-    lo is the first index at which either changed since the previous yield.
-    L[0] is 0 throughout, so the first yield reports lo = 1.
+    L and P from ``_start``, with P[0] = -1 for the root, and deg, a list of
+    len(L), belong to the caller, who reads the tree from them at each yield:
+    deg[v] is v's degree.  The walk rewrites all three in place between
+    yields.  lo is the first index at which L or P changed since the previous
+    yield.  L[0] is 0 throughout, so the first yield reports lo = 1.
 
     Over half the steps move only the last vertex: when the yielded tree's
     last vertex sits above level 1 (53% of the trees at n = 16), the natural
@@ -122,10 +119,38 @@ def _walk(L: list[int], P: list[int]) -> Iterator[int]:
     last step rewrote: m, the start of the second root subtree; top[i], the
     maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
     for i >= m.
+
+    Kept across trees, degrees and alpha follow the parents P.  Before each
+    yield one reverse pass over lo..n - 1 undoes each vertex's old edge, adds
+    its new one from P and settles the vertex, whose children all come later
+    in preorder and so are settled already.  Then the ancestors of lo - 1,
+    the only earlier vertices whose children changed, are settled up to the
+    root.  The climb averages 2.5 steps a tree at n = 16.  Stopping it at the
+    first ancestor that keeps its flag once it is at or above every changed
+    parent skips at most 17% of those steps, and measured slower than
+    climbing to the root.
+
+    Children come after their parent in preorder, so a greedy matching of each
+    unmatched vertex to its unmatched parent, taken in reverse preorder, is a
+    maximum matching, and alpha = n - nu by König's theorem, nu its size.  In
+    DP form a vertex is matched from below when any of its children is left
+    unmatched by its own subtree; free[v] counts those children of v, and nu
+    is the number of vertices matched from below.  F follows the degrees: a
+    degree going from d - 1 to d adds cube[d] = 3d**2 - 3d + 1, and going back
+    takes it away again.
     """
     n = len(L)
+    cube = [3 * d * d - 3 * d + 1 for d in range(n)]  # d**3 - (d - 1)**3
+    edges = n - 1
+    # the star; the first tree redoes L[1:]
+    parent = [0] * n
+    deg[:] = [edges] + [1] * edges
+    F = edges**3 + edges
+    free = [edges] + [0] * edges
+    below = [False] * n
+    nu = 0  # vertices other than the root matched from below
     if n == 1:  # the single vertex: nothing to check and no successor
-        yield 1
+        yield 1, 1, 0
         return
     top = [0, 1] + [0] * (n - 2)
     rest = [0] * n
@@ -162,7 +187,42 @@ def _walk(L: list[int], P: list[int]) -> Iterator[int]:
                     valid = a - 1 < b
                     break
         if valid:
-            yield lo
+            i = n - 1
+            while i >= lo:  # not range: the suffix averages about 2 vertices
+                # undo i's old edge, add its new one, then settle i
+                q = parent[i]
+                d = deg[q]
+                F -= cube[d]
+                deg[q] = d - 1
+                if below[i]:
+                    nu -= 1
+                else:
+                    free[q] -= 1
+                q = P[i]
+                parent[i] = q
+                d = deg[q] + 1
+                deg[q] = d
+                F += cube[d]
+                if free[i]:
+                    below[i] = True
+                    nu += 1
+                else:
+                    below[i] = False
+                    free[q] += 1
+                i -= 1
+            v = lo - 1
+            while v:
+                b = free[v] > 0
+                if b != below[v]:
+                    below[v] = b
+                    if b:
+                        nu += 1
+                        free[parent[v]] -= 1
+                    else:
+                        nu -= 1
+                        free[parent[v]] += 1
+                v = parent[v]
+            yield lo, n - nu - (free[0] > 0), F
             q = P[n - 1]
             if q:  # the last vertex sits above level 1: move it up in place
                 L[n - 1] = L[q]
@@ -202,82 +262,8 @@ def _walk(L: list[int], P: list[int]) -> Iterator[int]:
 def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """One canonical level sequence per free tree on n vertices."""
     L, P = _start(n)
-    for _ in _walk(L, P):
+    for _ in _trees(L, P, [0] * n):
         yield tuple(L)
-
-
-def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Walk the free-tree stream from ``_start(len(L))``: yield (lo, alpha, F)
-    once per free tree, lo as ``_walk`` yields it, alpha the tree's
-    independence number and F the sum of deg**3.
-
-    L and P from ``_start`` and deg, a list of len(L), belong to the caller,
-    who reads the tree from them at each yield: deg[v] is v's degree.  Kept
-    across trees, degrees and alpha follow the parents P.  One reverse pass
-    over lo..n - 1 undoes each vertex's old edge, adds its new one from P and
-    settles the vertex, whose children all come later in preorder and so are
-    settled already.  Then the ancestors of lo - 1, the only earlier vertices
-    whose children changed, are settled up to the root.  The climb averages
-    2.5 steps a tree at n = 16.  Stopping it at the first ancestor that keeps
-    its flag once it is at or above every changed parent skips at most 17% of
-    those steps, and measured slower than climbing to the root.
-
-    Children come after their parent in preorder, so a greedy matching of each
-    unmatched vertex to its unmatched parent, taken in reverse preorder, is a
-    maximum matching, and alpha = n - nu by König's theorem, nu its size.  In
-    DP form a vertex is matched from below when any of its children is left
-    unmatched by its own subtree; free[v] counts those children of v, and nu
-    is the number of vertices matched from below.  F follows the degrees: a
-    degree going from d - 1 to d adds cube[d] = 3d**2 - 3d + 1, and going back
-    takes it away again.
-    """
-    n = len(L)
-    cube = [3 * d * d - 3 * d + 1 for d in range(n)]  # d**3 - (d - 1)**3
-    edges = n - 1
-    # the star; the first tree redoes L[1:]
-    parent = [0] * n
-    deg[:] = [edges] + [1] * edges
-    F = edges**3 + edges
-    free = [edges] + [0] * edges
-    below = [False] * n
-    nu = 0  # vertices other than the root matched from below
-    for lo in _walk(L, P):
-        i = n - 1
-        while i >= lo:  # not range: the suffix averages about 2 vertices
-            # undo i's old edge, add its new one, then settle i
-            p = parent[i]
-            d = deg[p]
-            F -= cube[d]
-            deg[p] = d - 1
-            if below[i]:
-                nu -= 1
-            else:
-                free[p] -= 1
-            p = P[i]
-            parent[i] = p
-            d = deg[p] + 1
-            deg[p] = d
-            F += cube[d]
-            if free[i]:
-                below[i] = True
-                nu += 1
-            else:
-                below[i] = False
-                free[p] += 1
-            i -= 1
-        v = lo - 1
-        while v:
-            b = free[v] > 0
-            if b != below[v]:
-                below[v] = b
-                if b:
-                    nu += 1
-                    free[parent[v]] -= 1
-                else:
-                    nu -= 1
-                    free[parent[v]] += 1
-            v = parent[v]
-        yield lo, n - nu - (free[0] > 0), F
 
 
 def order_fold(n: int) -> dict:

@@ -1,9 +1,10 @@
 """Streaming enumeration of non-isomorphic trees.
 
-The stream is the pure walk: exactly one representative per isomorphism
-class, in a deterministic order (decreasing lexicographic on the canonical
-level sequence).  Its independent reference routes, Prüfer decoding of every
-labeled tree and random labeled trees, live with the tests.
+The stream is the pure walk, ``pure._trees``: exactly one representative
+per isomorphism class, in a deterministic order (decreasing lexicographic on
+the canonical level sequence).  Its independent reference routes, Prüfer
+decoding of every labeled tree and random labeled trees, live with the
+tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[str]:
     level sequence L, without the Trees.  Infeasible alphas simply produce an
     empty stream.
 
-    ``pure._trees`` gives each tree's alpha with the walk's parents P live.
+    ``pure._trees`` gives each tree's alpha with the walk's parents P live;
+    the degrees and F it keeps alongside go unread.
     Each edge line "p i" is filed under its parent p, in a bucket per parent.
     ``Tree.edges()`` lists the edges by their smaller end, then the larger;
     every parent precedes its children, so that is by parent, and vertices are

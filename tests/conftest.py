@@ -449,14 +449,6 @@ def pendant_vertices(t: Tree) -> set[int]:
     return {v for v in range(t.order) if t.degrees[v] == 1}
 
 
-def support_vertex(t: Tree, pendant: int) -> int:
-    """The unique neighbor of a pendant vertex."""
-    t._check_vertex(pendant)
-    if t.degrees[pendant] != 1:
-        raise ValueError(f"vertex {pendant} has degree {t.degrees[pendant]}, not 1")
-    return t.adjacency[pendant][0]
-
-
 def tree_path(t: Tree, u: int, v: int) -> list[int]:
     """Vertex sequence of the unique u-v path (inclusive)."""
     t._check_vertex(u)

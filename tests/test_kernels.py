@@ -104,7 +104,7 @@ class TestPureKernels:
         assert so[low] < so[x] < so[y1] == so[y2] and 0 < so[y1] - so[x] < 1e-12
         assert so[small] < so[big]
 
-        monkeypatch.setattr(pure, "_walk", _scripted_walk(script))
+        monkeypatch.setattr(pure, "_trees", _scripted_trees(script))
         assert pure.order_fold(10) == {
             6: (4, so[y1], so[x], 2, y1),
             7: (2, so[big], so[small], 1, big),
@@ -132,7 +132,7 @@ class TestPureKernels:
         for L in low:
             assert 9 * sum(d**3 for d in _degrees(L)[1]) < 0.99 * so[x] ** 2
 
-        monkeypatch.setattr(pure, "_walk", _scripted_walk(script))
+        monkeypatch.setattr(pure, "_trees", _scripted_trees(script))
         assert pure.order_fold(10) == {6: (7, so[y1], so[x], 2, y1)}
 
     def test_sombor_sum_meets_the_cauchy_schwarz_bound(self):
@@ -169,11 +169,13 @@ class TestPureKernels:
 
     def test_walk_reports_the_first_changed_index(self):
         # the fused fold takes the walk's parents and redoes the tree from lo
-        # on, and only there
+        # on, and only there; the degrees, F and alpha it keeps across trees
+        # equal the tree's own, decoded from scratch
         for n in range(1, 14):
             prev = None
             L, P = pure._start(n)
-            for lo in pure._walk(L, P):
+            deg = [0] * n
+            for lo, alpha, F in pure._trees(L, P, deg):
                 assert P[1:] == _level_parents(L)[1:], (n, L, P)
                 if prev is None:
                     assert lo == 1
@@ -181,6 +183,9 @@ class TestPureKernels:
                     changed = [i for i in range(n) if (L[i], P[i]) != prev[i]]
                     assert lo == changed[0], (n, prev, L, P)
                 prev = list(zip(L, P))
+                assert deg == _degrees(L)[1], (n, L, deg)
+                assert F == sum(d**3 for d in deg), (n, L, F)
+                assert alpha == pure.tree_stats_from_levels(L)[1], (n, L, alpha)
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
         # the walk advances once from every sequence it visits, under the
@@ -205,16 +210,16 @@ class TestPureKernels:
                 assert L[p] >= 2, (L, p)
             return successor(L, P, p)
 
-        def yielding(L, P):
+        def yielding(L, P, deg):
             nonlocal visited
-            for lo in walk(L, P):
+            for tree in trees(L, P, deg):
                 visited += 1
                 assert _free_check(L)[0], L
-                yield lo
+                yield tree
 
-        successor, walk = pure._successor, pure._walk
+        successor, trees = pure._successor, pure._trees
         monkeypatch.setattr(pure, "_successor", counting)
-        monkeypatch.setattr(pure, "_walk", yielding)
+        monkeypatch.setattr(pure, "_trees", yielding)
         # the walk reads 1.14 at n = 12 down to 1.04 at n = 18; a reset that
         # fires only at level >= 4, or resets one level short, reads 1.27 or
         # more at n = 12 and 1.09 or more at n = 18, above every bound here
@@ -250,21 +255,22 @@ class TestPureKernels:
             _stream_fold(0)
 
 
-def _scripted_walk(script):
-    """A stand-in for pure._walk that walks the given level sequences."""
+def _scripted_trees(script):
+    """A stand-in for pure._trees that walks the given level sequences."""
 
-    def walk(L, P):
-        # each tree written into the caller's lists, its parents with it,
-        # and the first index it changed, as _walk reports them
+    def trees(L, P, deg):
+        # each tree written into the caller's lists, its parents and degrees
+        # with it, and the first index it changed, as _trees reports it, with
+        # alpha and F computed from scratch
         prev = (0,) + (1,) * (len(L) - 1)
         for levels in script:
             lo = next(i for i in range(1, len(L)) if levels[i] != prev[i])
             L[:] = levels
-            P[:] = _level_parents(levels)
-            yield lo
+            P[:], deg[:] = _degrees(levels)
+            yield lo, pure.tree_stats_from_levels(levels)[1], sum(d**3 for d in deg)
             prev = levels
 
-    return walk
+    return trees
 
 
 def _degrees(levels):

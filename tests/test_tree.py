@@ -31,7 +31,6 @@ from conftest import (
     random_tree,
     relabel,
     star_of_order,
-    support_vertex,
     tree_path,
     trees_of_order,
 )
@@ -142,21 +141,6 @@ class TestDegreeAndPendants:
 
     def test_order_one_tree_has_no_pendants(self):
         assert pendant_vertices(Tree.from_edges(1, [])) == set()
-
-    def test_support_of_star_leaf(self):
-        assert support_vertex(star_of_order(5), 3) == 0
-
-    def test_support_of_path_end(self):
-        assert support_vertex(path_of_order(4), 0) == 1
-
-    def test_support_in_t_star(self):
-        # arm pendant 3 hangs on core leaf 1 in T*(8,5)
-        t = construct_t_star(8, 5)
-        assert support_vertex(t, 3) == 1
-
-    def test_support_rejects_non_pendant(self):
-        with pytest.raises(ValueError, match="degree"):
-            support_vertex(path_of_order(4), 1)
 
 
 class TestDistance:

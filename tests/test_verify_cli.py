@@ -159,13 +159,18 @@ class TestVerifyDriver:
         assert failed == gaps
 
     def test_reference_margins_clear_the_bound_by_far(self):
-        # the benchmark's reference table (n <= 20), read, never written
+        # the benchmark's reference table (n <= 20), read, never written; the
+        # active backend's pipeline gives its header and n <= 14 rows byte
+        # for byte
         text = (ROOT / "perfbench" / "reference" / "verify.csv").read_text(encoding="utf-8")
-        rows = [line.split(",") for line in text.splitlines()[1:]]
+        header, *lines = text.splitlines(keepends=True)
+        rows = [line.split(",") for line in lines]
         finite = [(int(r[0]), float(r[4]), float(r[6])) for r in rows if r[6] != "inf"]
         assert len(rows) == 100 and finite
         for n, best, margin in finite:
             assert margin >= 1e12 * 2 * _float_error(n, best), (n, best, margin)
+        head = "".join(line for line, r in zip(lines, rows) if int(r[0]) <= 14)
+        assert to_csv(verify(2, 14)) == header + head
 
 
 class TestCsv:
