@@ -72,6 +72,8 @@ def _stream_fold(n):
     for levels in gen(n):
         so, a = stats(levels)
         count[a] += 1
+        if so <= runner[a]:  # runner < best, so the cell stays as it is
+            continue
         b = best[a]
         if so > b:
             runner[a] = b
@@ -80,7 +82,7 @@ def _stream_fold(n):
             first[a] = levels
         elif so == b:
             ties[a] += 1
-        elif so > runner[a]:
+        else:
             runner[a] = so
     return {
         a: (count[a], best[a], runner[a], ties[a], first[a])

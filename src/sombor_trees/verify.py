@@ -9,20 +9,22 @@ closed form within a proven rounding bound, its only maximizing sequence is
 the extremal tree's, and every other tree lies more than twice that bound
 below it.  No exact tie hides: by Besicovitch (1940) it needs equal
 square-free radicand vectors, and one that rounds apart leaves a margin below
-the bound, so its cell fails.  Orders are independent, so they optionally fan
-out to a process pool; the merged report is sorted and byte-stable.  The pool
-is imported only when a run has more than one order and ``jobs > 1``, so a
-serial run never loads ``concurrent.futures`` or ``multiprocessing``.
+the bound, so its cell fails.  Orders are independent, so with ``jobs > 1``
+they fan out to forked children (``_fanout``), each sending its records back
+down a pipe; the merged report is sorted and byte-stable.  No run loads
+``concurrent.futures`` or ``multiprocessing``, and where ``os.fork`` is
+missing every run is serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from typing import NamedTuple
 
 from . import _kernels
-from .errors import OrderRangeError, SizeLimitError, WorkerError
+from .errors import OrderRangeError, SizeLimitError
 from .extremal import closed_form_max, feasible_alpha_range, t_star_levels
 
 DEFAULT_VERIFY_CAP = 16
@@ -115,24 +117,22 @@ def verify(
 ) -> VerificationReport:
     """Verify every feasible (order, alpha) cell with n_min <= order <= n_max.
 
-    Raises WorkerError, from the pool's BrokenProcessPool, when a worker
-    process dies."""
+    Raises WorkerError when a worker process fails or dies."""
     check_orders(n_min, n_max, cap)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    orders = range(n_max, n_min - 1, -1)  # largest first, so the pool ends balanced
+    orders = range(n_max, n_min - 1, -1)  # largest first
     workers = min(jobs, len(orders))
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):
         results = [_verify_order(n) for n in orders]
     else:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        from ._fanout import fan_out
 
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_verify_order, orders, chunksize=1))
-        except BrokenProcessPool as exc:  # an error, never a violation
-            raise WorkerError(f"worker process failed: {exc}") from exc
-    results.reverse()  # map keeps input order: back to ascending (n, alpha)
+        # the workers - 1 largest orders alone, then the rest in one child: from
+        # n = 10 up an order has more trees than all smaller ones together (A000055)
+        k = workers - 1
+        results = fan_out(_verify_order, [[n] for n in orders[:k]] + [list(orders[k:])])
+    results.reverse()  # back to ascending (n, alpha)
     return VerificationReport(
         records=tuple(rec for recs, _ in results for rec in recs),
         order_seconds=tuple(secs for _, secs in results),

@@ -103,6 +103,7 @@ def test_every_function_in_src_serves_a_subcommand(tmp_path, monkeypatch, capsys
     Path("not_a_tree.txt").write_text("3\n1 1\n0 2\n")
     runs = [
         "verify --n-max 6 --jobs 1 --csv verify.csv",
+        "verify --n-max 6 --jobs 2 --csv verify2.csv",
         "table --n-max 5 --output table.csv",
         "construct --n 7 --alpha 4 --output t_star.txt",
         "enumerate --n 6",
@@ -116,7 +117,7 @@ def test_every_function_in_src_serves_a_subcommand(tmp_path, monkeypatch, capsys
     previous = sys.getprofile()
     sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
     try:
-        assert [main(run.split()) for run in runs] == [0, 0, 0, 0, 0, 0, 2, 2]
+        assert [main(run.split()) for run in runs] == [0, 0, 0, 0, 0, 0, 0, 2, 2]
     finally:
         sys.setprofile(previous)
     reached = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in called}

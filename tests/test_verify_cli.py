@@ -9,7 +9,7 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
+import time
 
 import pytest
 
@@ -523,6 +523,10 @@ USAGE_ERRORS = {
 }
 
 
+def _raise_in_worker(order):
+    raise RuntimeError(f"order {order}")
+
+
 class TestExitCodeContract:
     """0 pass, 1 theorem violation, 2 usage or input error: never 1 for bad input."""
 
@@ -536,17 +540,83 @@ class TestExitCodeContract:
             assert "error" in capsys.readouterr().err, argv
 
     def test_worker_failure_is_an_error(self, monkeypatch, capsys):
-        # every worker exits at once, so the pool itself raises BrokenProcessPool
+        # every worker exits at once, with its first order as the exit code
         module = importlib.import_module("sombor_trees.verify")
         monkeypatch.setattr(module, "_verify_order", os._exit)
-        with pytest.raises(WorkerError) as raised:
+        with pytest.raises(WorkerError):
             verify(2, 6, jobs=2)
-        assert isinstance(raised.value.__cause__, BrokenProcessPool)
         assert main(["verify", "--n-max", "6", "--jobs", "2"]) == 2
         assert "error: worker process failed" in capsys.readouterr().err
 
+    def test_worker_exception_is_an_error(self, monkeypatch, capsys):
+        # a worker's exception exits 2 like its death, never 1 like a violation
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "_verify_order", _raise_in_worker)
+        with pytest.raises(WorkerError, match="exit code 1"):
+            verify(2, 6, jobs=2)
+        assert main(["verify", "--n-max", "6", "--jobs", "2"]) == 2
+        assert "error: worker process failed" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
 
-POOL_MODULES = {"concurrent.futures.process", "multiprocessing"}
+
+class TestForkFanOut:
+    @pytest.mark.parametrize(
+        "jobs, shares",
+        [
+            (2, [[20], list(range(19, 1, -1))]),
+            (3, [[20], [19], list(range(18, 1, -1))]),
+        ],
+    )
+    def test_largest_orders_alone_then_the_rest_in_one_child(self, monkeypatch, jobs, shares):
+        # each order reports the process that folded it in place of its seconds
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "_verify_order", lambda n: ([], os.getpid()))
+        pids = verify(2, 20, jobs=jobs, cap=20).order_seconds
+        by_child = {}
+        for n, pid in zip(range(20, 1, -1), reversed(pids)):
+            by_child.setdefault(pid, []).append(n)
+        assert os.getpid() not in by_child
+        assert list(by_child.values()) == shares
+
+    def test_a_failed_worker_stops_the_others(self, monkeypatch):
+        # the child of order 6 fails at once while the other sleeps: the parent
+        # kills and reaps it instead of waiting
+        def fail_or_sleep(order):
+            if order == 6:
+                raise RuntimeError("order 6")
+            time.sleep(60)
+
+        module = importlib.import_module("sombor_trees.verify")
+        monkeypatch.setattr(module, "_verify_order", fail_or_sleep)
+        start = time.perf_counter()
+        with pytest.raises(WorkerError, match=r"share \[6\], exit code 1"):
+            verify(2, 6, jobs=2)
+        assert time.perf_counter() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_never_flushes_the_parents_stdout(self):
+        # a child that left through sys.exit would flush the unwritten line again
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys\n"
+            "from sombor_trees.verify import verify\n"
+            "sys.stdout.write('before the fan-out\\n')\n"
+            "assert verify(2, 8, jobs=2).overall\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"before the fan-out\n"
+
+
+POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
 
 def _imports(*args):
@@ -572,19 +642,22 @@ def _imports(*args):
 
 
 class TestPoolImport:
-    def test_only_a_pool_run_imports_the_pool(self):
+    def test_no_run_imports_a_pool(self):
         code, names = _imports("-c", "import sombor_trees, sombor_trees.cli")
         assert code == 0 and "sombor_trees.cli" in names
         assert not names & POOL_MODULES
-        for run in (["--n-max", "6"], ["--n-min", "6", "--n-max", "6", "--jobs", "2"]):
+        for run, fans_out in (
+            (["--n-max", "6"], False),
+            (["--n-min", "6", "--n-max", "6", "--jobs", "2"], False),  # one order
+            (["--n-max", "6", "--jobs", "2"], True),
+        ):
             code, names = _imports("-m", "sombor_trees", "verify", *run)
             assert code == 0 and "sombor_trees.verify" in names, run
             assert not names & POOL_MODULES, run
-        # the control: a run that starts a pool does import it
-        code, names = _imports(
-            "-m", "sombor_trees", "verify", "--n-max", "6", "--jobs", "2"
-        )
-        assert code == 0 and names >= POOL_MODULES
+            assert ("sombor_trees._fanout" in names) == fans_out, run
+        # the control: an import of a pool module shows in the list
+        code, names = _imports("-c", "import multiprocessing")
+        assert code == 0 and "multiprocessing" in names
 
 
 # dataclasses pulls in inspect, and with it ast, dis, tokenize and linecache;
