@@ -4,16 +4,19 @@
 Times the two hot paths (draining the free-tree stream, and the one-pass
 order fold that the verifier runs once per order) for a range of orders and
 prints the speedups.  The "enum" columns drain ``iter_level_sequences``: the
-pure one drains ``pure._trees``, so it also pays for the degree, F and
-matching upkeep that the compiled generator does not keep, and its speedup
-is not like for like.  The pure fold is the pure backend's fused
-``order_fold``; the compiled one is ``_kernels._stream_fold`` over the
-compiled kernels, which is how the compiled backend folds until it exports
-its own.  Outside the timed region it checks that both backends drain the
-same stream, by a sha256 over each order's sequences, and that the two folds
-agree.  Then it times the ``enumerate`` command's work without its writes:
-the records of ``enumerate_family(17, 11)``, which runs the pure walk on
-either backend.  Run from an installed checkout:
+pure one drains ``pure._trees`` with every threshold at 0.0, so it yields
+every tree and also pays for the degree, F and matching upkeep that the
+compiled generator does not keep, and its speedup is not like for like.
+The pure fold is the pure backend's fused ``order_fold``, whose walk counts
+every tree and yields only those that pass the Cauchy-Schwarz skip; the
+compiled one is ``_kernels._stream_fold`` over the compiled kernels, which
+is how the compiled backend folds until it exports its own.  Outside the
+timed region it checks that both backends drain the same stream, by a
+sha256 over each order's sequences, and that the two folds agree.  Then it
+times the ``enumerate`` command's work without its writes: the records of
+``enumerate_family(17, 11)``, which runs the pure walk on either backend;
+the walk yields only the trees of alpha 11.  Run from an installed
+checkout:
 
     python benchmarks/bench_kernels.py --orders 12 14 16 --repeat 3
 

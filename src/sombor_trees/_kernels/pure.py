@@ -17,21 +17,22 @@ rewrote; its reference, in the tests, is a rooted stream with its own
 successor, filtered by the full-scan ``_free_check``.
 
 The caller owns the walk's lists: ``_start(n)`` builds the sequence and its
-parent array, and ``_trees(L, P, deg)`` rewrites them and the degrees in
-place.  It yields, per tree, the first index that changed, the independence
-number and F = sum of deg**3, which it keeps across trees and redoes from
-that index on, so a tree is decoded once, in the walk.  Suffix loops that
-average about 2 vertices are ``while`` loops, which cost less here than
-building a ``range``.  Both stream views consume ``_trees``: ``order_fold``
-and ``enumeration.enumerate_family``; ``iter_level_sequences`` only drains
-it.
+parent array, and ``_trees(L, P, deg, count, thr)`` rewrites them and the
+degrees in place.  It counts each tree into count[alpha] and, only when
+(n - 1) * F >= thr[alpha], yields the first index changed since the previous
+yield, alpha and F = sum of deg**3, kept across trees and redone from the
+first changed index on: a tree is decoded once, in the walk, and one that no
+view can use never leaves it.  Suffix loops that average about 2 vertices
+are ``while`` loops, which cost less here than building a ``range``.
+``order_fold`` and ``enumeration.enumerate_family`` consume ``_trees``;
+``iter_level_sequences`` only drains it.
 
 The edges' radicands d_u**2 + d_v**2 add up to F, so by Cauchy-Schwarz
 SO <= sqrt((n - 1) * F).  ``order_fold`` sums the Sombor index, in full and
 in vertex order, only when that bound, widened by the float sum's rounding
 bound gamma_{n+4} of ``verify._float_error``, reaches the cell's runner-up;
-it only counts the other trees, which provably cannot change the cell (the
-argument is in ``order_fold``).  It copies a sequence only when it sets a
+the walk only counts the other trees, which provably cannot change the cell
+(the argument is in ``order_fold``).  It copies a sequence only when it sets a
 new best.  ``tree_stats_from_levels`` computes the same two numbers from
 scratch for one sequence; it decodes the sequence with the checked decoder
 ``tree._level_parents``, as ``Tree.from_level_sequence`` does.
@@ -56,24 +57,15 @@ from ..tree import _level_parents
 BACKEND = "pure"
 
 
-def _successor(L: list[int], P: list[int], p: int | None) -> int:
-    """Advance L and its parent array P in place to the next canonical rooted
-    sequence.
-
-    p forces the change at that index, always at level >= 2: the walk forces
-    only m - 1 of a rejected sequence, and a first root subtree that is the
-    single vertex 1 is never rejected.  None takes the natural chop at the
-    last entry above level 1.  Returns the first index rewritten, or 0,
-    leaving L and P untouched, when the stream is exhausted.  This is the
-    walk's one general step; only the walk's last-leaf step bypasses it.
+def _successor(L: list[int], P: list[int], p: int) -> None:
+    """The walk's forced step: advance L and its parent array P in place to
+    the next canonical rooted sequence that differs from L at index p, always
+    at level >= 2.  The walk forces only m - 1 of a rejected sequence, and a
+    first root subtree that is the single vertex 1 is never rejected.  Its
+    natural steps, the last-leaf move and the chop at the last entry above
+    level 1, are inline in ``_trees``.
     """
     n = len(L)
-    if p is None:
-        p = n - 1
-        while p > 0 and L[p] == 1:
-            p -= 1
-        if p <= 0:
-            return 0
     q = P[p]
     d = p - q
     lq = L[q]
@@ -84,7 +76,6 @@ def _successor(L: list[int], P: list[int], p: int | None) -> int:
         L[i] = li
         P[i] = P[i - d] + d if li > lq else pq
         i += 1
-    return p
 
 
 def _start(n: int) -> tuple[list[int], list[int]]:
@@ -97,22 +88,26 @@ def _start(n: int) -> tuple[list[int], list[int]]:
     return L, _level_parents(L)
 
 
-def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Walk the free-tree stream from ``_start(len(L))``: yield (lo, alpha, F)
-    once per free tree, alpha the tree's independence number and F the sum
-    of deg**3.
+def _trees(
+    L: list[int], P: list[int], deg: list[int], count: list[int], thr: list[float]
+) -> Iterator[tuple[int, int, int]]:
+    """Walk the free-tree stream from ``_start(len(L))``: add 1 to
+    count[alpha] for every free tree, and yield (lo, alpha, F) for those with
+    (n - 1) * F >= thr[alpha], alpha the independence number and F the sum of
+    deg**3; a threshold of 0.0 passes every tree, +inf none.
 
-    L and P from ``_start``, with P[0] = -1 for the root, and deg, a list of
-    len(L), belong to the caller, who reads the tree from them at each yield:
-    deg[v] is v's degree.  The walk rewrites all three in place between
-    yields.  lo is the first index at which L or P changed since the previous
-    yield.  L[0] is 0 throughout, so the first yield reports lo = 1.
+    L and P from ``_start``, with P[0] = -1 for the root, deg, a list of
+    len(L), and count and thr, indexed by alpha = 0..len(L), belong to the
+    caller, who reads the tree from L, P and deg (deg[v] is v's degree) at a
+    yield and may raise thr there: the walk reads it afresh for each tree.  lo
+    is the first index at which L or P changed since the previous yield; L[0]
+    is 0 throughout, so the first yield reports lo = 1.
 
-    Over half the steps move only the last vertex: when the yielded tree's
-    last vertex sits above level 1 (53% of the trees at n = 16), the natural
-    successor chops at n - 1 and copies q = P[n - 1] there, which the walk
-    does in place, lo = n - 1, without calling ``_successor``.  Every other
-    step, natural or forced, goes through ``_successor``.
+    Over half the steps move only the last vertex: when a tree's last vertex
+    sits above level 1 (53% of the trees at n = 16), the natural successor
+    chops at n - 1 and copies q = P[n - 1] there, moving that leaf up to
+    r = P[q].  The walk chops in place; only a forced step calls
+    ``_successor``.
 
     The walk decides ``_free_check`` on every sequence it visits, but keeps
     the check's state across them and redoes it only from the first index the
@@ -120,15 +115,19 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
     maximum of L[:i + 1] for i < m; and rest[i], the maximum of L[m:i + 1]
     for i >= m.
 
-    Kept across trees, degrees and alpha follow the parents P.  Before each
-    yield one reverse pass over lo..n - 1 undoes each vertex's old edge, adds
-    its new one from P and settles the vertex, whose children all come later
-    in preorder and so are settled already.  Then the ancestors of lo - 1,
-    the only earlier vertices whose children changed, are settled up to the
-    root.  The climb averages 2.5 steps a tree at n = 16.  Stopping it at the
-    first ancestor that keeps its flag once it is at or above every changed
-    parent skips at most 17% of those steps, and measured slower than
-    climbing to the root.
+    Kept across trees, degrees and alpha follow the parents P.  After the
+    last-leaf step they settle the leaf alone: one degree and one free count
+    move from q to r, F follows, q is settled, and the climb starts at r and
+    stops at the first flag that keeps its value.  Otherwise one reverse pass
+    over lo..n - 1 undoes each vertex's old edge, adds its new one from P and
+    settles the vertex, whose children all come later in preorder and so are
+    settled already.  Then the ancestors of lo - 1, the only earlier vertices
+    whose children changed, are settled up to the root, 2.5 steps a tree at
+    n = 16.  On this general path, stopping at the first ancestor that keeps
+    its flag once it is at or above every changed parent would skip at most
+    1.4% of those steps at n = 16 and 17; when every tree climbed this way it
+    skipped up to 17% and still measured slower than climbing to the root,
+    so only the last-leaf climb stops early.
 
     Children come after their parent in preorder, so a greedy matching of each
     unmatched vertex to its unmatched parent, taken in reverse preorder, is a
@@ -150,12 +149,14 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
     below = [False] * n
     nu = 0  # vertices other than the root matched from below
     if n == 1:  # the single vertex: nothing to check and no successor
-        yield 1, 1, 0
+        count[1] += 1
+        if 0 >= thr[1]:
+            yield 1, 1, 0
         return
     top = [0, 1] + [0] * (n - 2)
     rest = [0] * n
     m = n
-    lo = 1
+    lo = low = 1
     p = 2  # the first sequence is checked in full; L[1] = 1 always
     while True:
         if p <= m:  # the rewrite reached the first root subtree: find m again
@@ -187,30 +188,46 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
                     valid = a - 1 < b
                     break
         if valid:
-            i = n - 1
-            while i >= lo:  # not range: the suffix averages about 2 vertices
-                # undo i's old edge, add its new one, then settle i
-                q = parent[i]
-                d = deg[q]
-                F -= cube[d]
-                deg[q] = d - 1
-                if below[i]:
+            if lo < n:
+                i = n - 1
+                while i >= lo:  # not range: the suffix averages about 2 vertices
+                    # undo i's old edge, add its new one, then settle i
+                    q = parent[i]
+                    d = deg[q]
+                    F -= cube[d]
+                    deg[q] = d - 1
+                    if below[i]:
+                        nu -= 1
+                    else:
+                        free[q] -= 1
+                    q = P[i]
+                    parent[i] = q
+                    d = deg[q] + 1
+                    deg[q] = d
+                    F += cube[d]
+                    if free[i]:
+                        below[i] = True
+                        nu += 1
+                    else:
+                        below[i] = False
+                        free[q] += 1
+                    i -= 1
+                v = lo - 1
+                if lo < low:
+                    low = lo
+            else:  # the last-leaf step moved leaf n - 1 from q up to r = P[q]
+                q = parent[n - 1]
+                v = parent[n - 1] = P[n - 1]
+                F += cube[deg[v] + 1] - cube[deg[q]]
+                deg[q] -= 1
+                deg[v] += 1
+                free[q] -= 1
+                if free[q]:
+                    free[v] += 1  # the leaf, unmatched
+                else:  # and q, settled: its last unmatched child left
+                    below[q] = False
                     nu -= 1
-                else:
-                    free[q] -= 1
-                q = P[i]
-                parent[i] = q
-                d = deg[q] + 1
-                deg[q] = d
-                F += cube[d]
-                if free[i]:
-                    below[i] = True
-                    nu += 1
-                else:
-                    below[i] = False
-                    free[q] += 1
-                i -= 1
-            v = lo - 1
+                    free[v] += 2
             while v:
                 b = free[v] > 0
                 if b != below[v]:
@@ -221,18 +238,40 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
                     else:
                         nu -= 1
                         free[parent[v]] += 1
+                elif lo == n:  # only the last-leaf climb stops early
+                    break
                 v = parent[v]
-            yield lo, n - nu - (free[0] > 0), F
+            a = n - nu - (free[0] > 0)
+            count[a] += 1
+            if edges * F >= thr[a]:
+                yield low, a, F
+                low = n - 1
+            lo = n  # nothing changed since this tree yet
             q = P[n - 1]
             if q:  # the last vertex sits above level 1: move it up in place
                 L[n - 1] = L[q]
                 P[n - 1] = P[q]
-                lo = p = n - 1
+                p = n - 1
                 continue
-            lo = p = _successor(L, P, None)
+            p = n - 2  # the natural chop, at the last vertex above level 1
+            while L[p] == 1:
+                p -= 1
+            if not p:
+                return
+            q = P[p]
+            d = p - q
+            lq = L[q]
+            pq = P[q]
+            i = p
+            while i < n:  # copies of q's subtree, each a new child of P[q]
+                li = L[i - d]
+                L[i] = li
+                P[i] = P[i - d] + d if li > lq else pq
+                i += 1
         else:
-            deep = L[m - 1] > 2
-            p = _successor(L, P, m - 1)
+            p = m - 1
+            deep = L[p] > 2
+            _successor(L, P, p)
             if deep:  # forced at level >= 3, so p = m - 1 >= 1
                 # Tail reset of Wright, Richmond, Odlyzko & McKay (1986).  The
                 # forced successor copied a subtree at level >= 2 to the end,
@@ -253,8 +292,6 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
                 # lowered p; the argument above places the chain, not m,
                 # before n - h - 1, so the guard keeps p the first change
                 p = min(p, n - h - 1)
-        if not p:
-            return
         if p < lo:
             lo = p
 
@@ -262,19 +299,19 @@ def _trees(L: list[int], P: list[int], deg: list[int]) -> Iterator[tuple[int, in
 def iter_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """One canonical level sequence per free tree on n vertices."""
     L, P = _start(n)
-    for _ in _trees(L, P, [0] * n):
+    for _ in _trees(L, P, [0] * n, [0] * (n + 1), [0.0] * (n + 1)):
         yield tuple(L)
 
 
 def order_fold(n: int) -> dict:
     """Fold the whole order-n stream into every alpha cell in one walk.
 
-    Returns the same cells as the shared ``_kernels._stream_fold``.  The fold
-    takes each tree's alpha, degrees and F = sum of deg**3 from ``_trees``.
-    The Sombor index is summed in full, in vertex order, as the compiled
-    backend sums it, but only for trees that pass the Cauchy-Schwarz test
-    below; the others are counted and cannot change anything else in their
-    cell.
+    Returns the same cells as the shared ``_kernels._stream_fold``.  The walk,
+    ``_trees``, counts every tree into its cell and yields, with its degrees
+    and alpha, only the trees that pass the Cauchy-Schwarz test below against
+    their cell's thr[a], which the fold raises.  The fold keeps only the
+    Sombor sum, in full and in vertex order, as the compiled backend sums it;
+    a tree the walk holds back cannot change anything but its cell's count.
 
     Each edge's radicand d_u**2 + d_v**2 gives every endpoint's d**2 once per
     incident edge, so the radicands add up to F, and Cauchy-Schwarz over the
@@ -298,17 +335,13 @@ def order_fold(n: int) -> dict:
     deg = [0] * n
     roots = [[math.sqrt(a * a + b * b) for b in range(n)] for a in range(n)]
     shrink = 1.0 - (n + 6) * 2.0**-53
-    edges = n - 1
     count = [0] * (n + 1)
     best = [float("-inf")] * (n + 1)
     runner = [float("-inf")] * (n + 1)
     thr = [0.0] * (n + 1)
     ties = [0] * (n + 1)
     first = [None] * (n + 1)
-    for _, a, F in _trees(L, P, deg):
-        count[a] += 1
-        if edges * F < thr[a]:
-            continue
+    for _, a, _ in _trees(L, P, deg, count, thr):
         so = 0.0
         for i in range(1, n):
             so += roots[deg[i]][deg[P[i]]]

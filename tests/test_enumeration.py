@@ -86,6 +86,11 @@ class TestFamilies:
 
     def test_infeasible_alpha_is_empty(self):
         assert list(enumerate_family(6, 2)) == []
+        # out of range too, never an index into a per-alpha list: -1 would
+        # select alpha = n, which at n = 1 is the single vertex
+        for n in (1, 2, 6, 9):
+            for alpha in (-1, 0, n + 1, 10**9):
+                assert list(enumerate_family(n, alpha)) == [], (n, alpha)
 
     def test_family_7_4_has_6_members(self):
         assert len(list(enumerate_family(7, 4))) == 6

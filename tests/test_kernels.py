@@ -6,6 +6,7 @@ The ``compiled`` fixture lives in conftest.py."""
 
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -168,58 +169,82 @@ class TestPureKernels:
             assert pure.order_fold(n) == _stream_fold(n)
 
     def test_walk_reports_the_first_changed_index(self):
-        # the fused fold takes the walk's parents and redoes the tree from lo
-        # on, and only there; the degrees, F and alpha it keeps across trees
-        # equal the tree's own, decoded from scratch
+        # the contract both views lean on: every tree counted into its alpha,
+        # a tree yielded exactly when (n - 1) * F >= thr[alpha], lo the first
+        # index changed since the previous yield, not the previous tree, and
+        # the parents, degrees, F and alpha the walk keeps across trees those
+        # of the yielded tree, decoded from scratch.  Thresholds of 0.0 pass
+        # every tree; the mixed ones hold 0.0, +inf and finite values, some
+        # equal to a tree's (n - 1) * F, which only >= lets through
+        rng = random.Random(1986)
         for n in range(1, 14):
-            prev = None
-            L, P = pure._start(n)
-            deg = [0] * n
-            for lo, alpha, F in pure._trees(L, P, deg):
-                assert P[1:] == _level_parents(L)[1:], (n, L, P)
-                if prev is None:
-                    assert lo == 1
-                else:
-                    changed = [i for i in range(n) if (L[i], P[i]) != prev[i]]
-                    assert lo == changed[0], (n, prev, L, P)
-                prev = list(zip(L, P))
-                assert deg == _degrees(L)[1], (n, L, deg)
-                assert F == sum(d**3 for d in deg), (n, L, F)
-                assert alpha == pure.tree_stats_from_levels(L)[1], (n, L, alpha)
+            stream = filtered_rooted_stream(n)
+            alphas = [pure.tree_stats_from_levels(L)[1] for L in stream]
+            bounds = [(n - 1) * sum(d**3 for d in _degrees(L)[1]) for L in stream]
+            sizes = [alphas.count(a) for a in range(n + 1)]
+            vectors = [[0.0] * (n + 1)]
+            for _ in range(6 if n <= 12 else 0):
+                thr = [rng.choice([0.0, math.inf, 0.0]) for _ in range(n + 1)]
+                for i in rng.sample(range(len(stream)), min(3, len(stream))):
+                    thr[alphas[i]] = float(bounds[i]) + rng.choice([0, 0, 1, -1])
+                vectors.append(thr)
+            for thr in vectors:
+                L, P = pure._start(n)
+                deg, count = [0] * n, [0] * (n + 1)
+                got, prev = [], None
+                for lo, alpha, F in pure._trees(L, P, deg, count, thr):
+                    now = list(zip(L, P))
+                    if prev is None:
+                        assert lo == 1
+                    else:
+                        changed = [i for i in range(n) if now[i] != prev[i]]
+                        assert lo == changed[0], (n, prev, now)
+                    prev = now
+                    got.append(tuple(L))
+                    assert P[1:] == _level_parents(L)[1:], (n, L, P)
+                    assert deg == _degrees(L)[1], (n, L, deg)
+                    assert F == sum(d**3 for d in deg), (n, L, F)
+                    assert alpha == pure.tree_stats_from_levels(L)[1], (n, L, alpha)
+                assert count == sizes, (n, thr)
+                wanted = [L for L, a, b in zip(stream, alphas, bounds) if b >= thr[a]]
+                assert got == [tuple(L) for L in wanted], (n, thr)
 
     def test_jump_visits_few_rejected_sequences(self, monkeypatch):
         # the walk advances once from every sequence it visits, under the
-        # generator and under the fused fold alike: from a sequence its
-        # suffix-following check accepts, it yields and then steps naturally,
-        # by its own last-leaf step or through _successor; from any other it
-        # calls _successor forced at m - 1.  So the visits are the yields
-        # plus the forced calls, and the full-scan _free_check must agree
-        # with the walk at every one of them.  _successor has no fallback for
-        # a forced index at level 1: a first root subtree of one vertex is
-        # always accepted, so the walk never forces one there
+        # generator and under the fused fold alike: a sequence its
+        # suffix-following check accepts, it counts into count[alpha],
+        # yielded or not, and then steps naturally, in place; from any other
+        # it calls _successor forced at m - 1.  So the visits are the counted
+        # trees plus the forced calls, and the full-scan _free_check must
+        # agree with the walk at every one of them.  _successor has no
+        # fallback for a forced index at level 1: a first root subtree of one
+        # vertex is always accepted, so the walk never forces one there
         visited = 0
 
         def counting(L, P, p):
             nonlocal visited
+            visited += 1
             valid, m = _free_check(L)
-            if p is None:  # the natural step after a yield, counted there
-                assert valid, L
-            else:
-                visited += 1
-                assert not valid and p == m - 1, (L, p, valid, m)
-                assert L[p] >= 2, (L, p)
+            assert not valid and p == m - 1, (L, p, valid, m)
+            assert L[p] >= 2, (L, p)
             return successor(L, P, p)
 
-        def yielding(L, P, deg):
-            nonlocal visited
-            for tree in trees(L, P, deg):
+        class Accepted(list):
+            def __setitem__(self, alpha, value):
+                nonlocal visited
                 visited += 1
-                assert _free_check(L)[0], L
-                yield tree
+                assert _free_check(self.levels)[0], self.levels
+                super().__setitem__(alpha, value)
+
+        def counted(L, P, deg, count, thr):
+            accepted = Accepted(count)
+            accepted.levels = L
+            yield from trees(L, P, deg, accepted, thr)
+            count[:] = accepted
 
         successor, trees = pure._successor, pure._trees
         monkeypatch.setattr(pure, "_successor", counting)
-        monkeypatch.setattr(pure, "_trees", yielding)
+        monkeypatch.setattr(pure, "_trees", counted)
         # the walk reads 1.14 at n = 12 down to 1.04 at n = 18; a reset that
         # fires only at level >= 4, or resets one level short, reads 1.27 or
         # more at n = 12 and 1.09 or more at n = 18, above every bound here
@@ -258,16 +283,24 @@ class TestPureKernels:
 def _scripted_trees(script):
     """A stand-in for pure._trees that walks the given level sequences."""
 
-    def trees(L, P, deg):
-        # each tree written into the caller's lists, its parents and degrees
-        # with it, and the first index it changed, as _trees reports it, with
-        # alpha and F computed from scratch
-        prev = (0,) + (1,) * (len(L) - 1)
+    def trees(L, P, deg, count, thr):
+        # each tree counted, with alpha and F computed from scratch; one that
+        # meets its threshold is written into the caller's lists, its parents
+        # and degrees with it, and yielded with the first index changed since
+        # the previous yield, as _trees reports it
+        n = len(L)
+        prev = (0,) + (1,) * (n - 1)
         for levels in script:
-            lo = next(i for i in range(1, len(L)) if levels[i] != prev[i])
+            parent, degrees = _degrees(levels)
+            alpha = pure.tree_stats_from_levels(levels)[1]
+            F = sum(d**3 for d in degrees)
+            count[alpha] += 1
+            if (n - 1) * F < thr[alpha]:
+                continue
+            lo = next(i for i in range(1, n) if levels[i] != prev[i])
             L[:] = levels
-            P[:], deg[:] = _degrees(levels)
-            yield lo, pure.tree_stats_from_levels(levels)[1], sum(d**3 for d in deg)
+            P[:], deg[:] = parent, degrees
+            yield lo, alpha, F
             prev = levels
 
     return trees

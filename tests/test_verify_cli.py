@@ -299,10 +299,13 @@ class TestCliEnumerate:
         assert len(records) == 6
 
     def test_empty_family_notice(self, capsys):
-        assert main(["enumerate", "--n", "6", "--alpha", "2"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "family empty" in captured.err
+        # an alpha out of range is an empty family too: exit 0, where an
+        # IndexError would exit 1, the exit code of a violation
+        for alpha in ["2", "7", "-1", "1000000000"]:
+            assert main(["enumerate", "--n", "6", f"--alpha={alpha}"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "family empty" in captured.err
 
     @pytest.mark.parametrize("sep", ["", "\n"], ids=["no-sep", "newline"])
     @pytest.mark.parametrize(
