@@ -23,8 +23,9 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[str]:
     """The edge list of each tree of the order-n stream with independence
     number alpha (all of them when alpha is None), in stream order:
     ``format_edge_list(Tree.from_level_sequence(L))`` for each canonical
-    level sequence L, without the Trees.  Infeasible alphas, in range or not,
-    simply produce an empty stream.
+    level sequence L, without the Trees.  An alpha that no order-n tree has
+    produces an empty stream without the walk: every tree of order n >= 2
+    has ceil(n/2) <= alpha <= n-1, and the one vertex of order 1 has 1.
 
     ``pure._trees`` yields only the trees of that alpha, its threshold 0.0
     and every other alpha's +inf, with the walk's parents P live.  Each edge
@@ -46,6 +47,8 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[str]:
         raise SizeLimitError(
             f"order {n} exceeds the enumeration cap {DEFAULT_ORDER_CAP}"
         )
+    if alpha is not None and alpha not in range((n + 1) // 2, max(n, 2)):
+        return
     sp, nl = _numerals(n)
     lines = [nl[n]] + [""] * n  # lines[p + 1] is p's bucket
     parent = [0] * n

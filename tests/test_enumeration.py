@@ -92,6 +92,16 @@ class TestFamilies:
             for alpha in (-1, 0, n + 1, 10**9):
                 assert list(enumerate_family(n, alpha)) == [], (n, alpha)
 
+    def test_alpha_no_tree_has_skips_the_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walked the stream")
+
+        monkeypatch.setattr("sombor_trees.enumeration._trees", no_walk)
+        for alpha in (-1, 0, 8, 17):
+            assert list(enumerate_family(17, alpha)) == [], alpha
+        with pytest.raises(AssertionError, match="walked the stream"):
+            next(enumerate_family(17, 11))
+
     def test_family_7_4_has_6_members(self):
         assert len(list(enumerate_family(7, 4))) == 6
 

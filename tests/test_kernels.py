@@ -360,7 +360,7 @@ class TestCompiledParity:
     def test_order_fold_bit_identical(self, compiled, monkeypatch):
         # the compiled backend folds through _stream_fold
         bind_backend(monkeypatch, compiled)
-        for n in range(1, 14):
+        for n in range(1, 17):
             assert _stream_fold(n) == pure.order_fold(n)
 
     def test_rooted_streams_identical(self, compiled):
