@@ -35,7 +35,10 @@ the walk only counts the other trees, which provably cannot change the cell
 (the argument is in ``order_fold``).  It copies a sequence only when it sets a
 new best.  ``tree_stats_from_levels`` computes the same two numbers from
 scratch for one sequence; it decodes the sequence with the checked decoder
-``tree._level_parents``, as ``Tree.from_level_sequence`` does.
+``tree._level_parents``, as ``Tree.from_level_sequence`` does, and imports
+it when called.  The walk needs nothing from ``tree``: ``_start`` writes the
+path's parent array itself, so a start that only walks never compiles
+``tree.py``.
 
 The compiled backend mirrors ``iter_level_sequences`` and the stats function
 for function, including the floating-point accumulation order, so both
@@ -51,8 +54,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterator, Sequence
-
-from ..tree import _level_parents
 
 BACKEND = "pure"
 
@@ -80,12 +81,16 @@ def _successor(L: list[int], P: list[int], p: int) -> None:
 
 def _start(n: int) -> tuple[list[int], list[int]]:
     """The walk's first sequence, the center-rooted path, and its parent
-    array, as fresh lists for the caller to own.  Raises ValueError for
-    n < 1."""
+    array, P[0] = -1 as ``tree._level_parents`` gives it, as fresh lists for
+    the caller to own.  Raises ValueError for n < 1."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    return L, _level_parents(L)
+    h = n // 2
+    L = list(range(h + 1)) + list(range(1, (n + 1) // 2))
+    # a chain of h vertices below the root, then one of (n - 1) // 2 hung on
+    # the root; the slice drops the second chain's head when it is empty
+    P = [-1, *range(h), 0, *range(h + 1, n - 1)][:n]
+    return L, P
 
 
 def _trees(
@@ -372,6 +377,8 @@ def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
     greedy matching and vertex-order sum as ``order_fold``.  Decodes through
     ``tree._level_parents``, so raises its ValueError unless levels is a
     preorder depth sequence starting at level 0."""
+    from ..tree import _level_parents  # not at import: no walk needs the Tree layer
+
     parent = _level_parents(levels)
     n = len(parent)
     deg = [0] + [1] * (n - 1)

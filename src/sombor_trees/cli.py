@@ -18,8 +18,6 @@ from pathlib import Path
 
 from . import _kernels
 from .errors import SomborTreesError
-from .extremal import classify, construct_t_star
-from .tree import canonical_levels, format_edge_list, parse_edge_list
 from .verify import DEFAULT_VERIFY_CAP, check_orders, render_text, to_csv, verify
 
 
@@ -132,6 +130,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compute(args) -> int:
+    # imported here, as in construct: only these two subcommands build a
+    # Tree, so no verify, table or enumerate start compiles tree.py
+    from .extremal import classify
+    from .tree import canonical_levels, parse_edge_list
+
     t = parse_edge_list(args.input.read_text(encoding="utf-8"))
     levels = canonical_levels(t)
     so, alpha = _kernels.tree_stats_from_levels(levels)
@@ -142,6 +145,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .extremal import construct_t_star
+    from .tree import format_edge_list
+
     t = construct_t_star(args.n, args.alpha)
     args.output.write_text(format_edge_list(t), encoding="utf-8")
     return 0
@@ -158,7 +164,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     # imported here: the record generator runs the pure walk on either
-    # backend, and the other subcommands of a compiled run never load it
+    # backend, with no Tree, and no other subcommand of a compiled run loads it
     from .enumeration import enumerate_family
 
     if not _write_stdout(enumerate_family(args.n, args.alpha), sep="\n"):

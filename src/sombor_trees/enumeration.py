@@ -14,7 +14,6 @@ from typing import Iterator
 
 from ._kernels.pure import _start, _trees
 from .errors import OrderRangeError, SizeLimitError
-from .tree import _numerals
 
 DEFAULT_ORDER_CAP = 20
 
@@ -49,7 +48,8 @@ def enumerate_family(n: int, alpha: int | None = None) -> Iterator[str]:
         )
     if alpha is not None and alpha not in range((n + 1) // 2, max(n, 2)):
         return
-    sp, nl = _numerals(n)
+    sp = [f"{i} " for i in range(n)]
+    nl = [f"{i}\n" for i in range(n + 1)]
     lines = [nl[n]] + [""] * n  # lines[p + 1] is p's bucket
     parent = [0] * n
     cut = [0] * n

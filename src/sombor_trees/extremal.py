@@ -13,15 +13,21 @@ Family vocabulary (fixed by the CLI output format):
 
 The families are read off the star core: ``_classified`` reads the split of
 ``tree.core_split`` once, picks the hub, and hands both on with the class.
+Only the functions that take or build a ``Tree`` import ``tree``, when they
+run: ``verify`` needs just the closed form and T*'s sequence, so its start
+never compiles ``tree.py``.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .errors import InfeasibleParamsError
-from .tree import Tree, core_split
+
+if TYPE_CHECKING:
+    from .tree import Tree
 
 
 class TreeClass(Enum):
@@ -88,6 +94,8 @@ def _classified(t: Tree) -> tuple[TreeClass, int, dict]:
     more pendants, the smaller id on a tie; the core is a star exactly when
     the hub is adjacent to every other core vertex.  The moves take the split
     from here, so a move reads the core once."""
+    from .tree import core_split
+
     if t.order <= 2:
         return TreeClass.STAR, -1, {}
     split = core_split(t)
@@ -119,6 +127,8 @@ def _star_with_pendants(core_size: int, hub_count: int, leaf_counts) -> Tree:
     """Star core with `hub_count` pendants on the hub and leaf_counts[i] on
     core leaf i+1, built by ``Tree.from_edges`` (T* and the tests' T1/T2
     builders).  Numbering: hub 0, core leaves, leaf pendants, hub pendants."""
+    from .tree import Tree
+
     edges = []
     nxt = core_size
     for i in range(1, core_size):

@@ -10,7 +10,6 @@ are isomorphic, and it doubles as a dedup key.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EdgeListParseError, TreeStructureError
@@ -19,8 +18,9 @@ from .errors import EdgeListParseError, TreeStructureError
 def _level_parents(levels: Sequence[int]) -> list[int]:
     """Parent of each vertex of a preorder depth sequence starting at level 0;
     the root's entry is -1.  Every parent precedes its children.  The one
-    checked decoder: ``Tree.from_level_sequence``, the kernels' stats and the
-    walk's start decode through it."""
+    checked decoder: ``Tree.from_level_sequence`` and the pure kernels' stats
+    decode through it.  The walk's start, ``pure._start``, writes the same
+    parent array for the path itself, so no walk imports this module."""
     n = len(levels)
     if n < 1:
         raise ValueError("empty level sequence")
@@ -281,16 +281,8 @@ def parse_edge_list(text: str) -> Tree:
         raise EdgeListParseError(f"line {line}: {exc}", line=line) from None
 
 
-@functools.lru_cache(maxsize=1)
-def _numerals(n: int) -> tuple[list[str], list[str]]:
-    r"""The edge-list formatters' numeral tables: "i " and "i\n", i = 0..n.
-    ``format_edge_list`` and ``enumeration.enumerate_family`` share them.
-    Only the latest order's tables are kept; a run prints one order."""
-    return [f"{i} " for i in range(n + 1)], [f"{i}\n" for i in range(n + 1)]
-
-
 def format_edge_list(t: Tree) -> str:
-    """Render the edge-list format, edges sorted, LF-terminated, joined from
-    the numeral tables."""
-    sp, nl = _numerals(t.order)
-    return nl[t.order] + "".join([sp[u] + nl[v] for u, v in t.edges()])
+    """Render the edge-list format, edges sorted, LF-terminated.  For a tree
+    built from a stream sequence, these are the bytes of its record in
+    ``enumeration.enumerate_family``, which writes them without the Tree."""
+    return f"{t.order}\n" + "".join([f"{u} {v}\n" for u, v in t.edges()])

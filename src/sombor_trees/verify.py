@@ -159,7 +159,10 @@ def to_csv(report: VerificationReport) -> str:
 
 
 def render_text(report: VerificationReport) -> str:
-    """Human-readable per-cell table plus a one-line summary."""
+    """Human-readable per-cell table plus a one-line summary.  The summary's
+    ``total`` sums ``order_seconds``, each order's fold time in raw,
+    uncalibrated wall seconds; under ``jobs > 1`` it is a sum over the
+    children, not the run's wall time."""
     lines = []
     worst_gap = 0.0
     min_margin = math.inf

@@ -168,6 +168,17 @@ class TestPureKernels:
         for n in range(1, 17):
             assert pure.order_fold(n) == _stream_fold(n)
 
+    def test_start_is_the_decoded_path(self):
+        # the walk's start writes the path's parents itself, without the
+        # checked decoder, and must hand over exactly its lists, root included
+        for n in range(1, 65):
+            L, P = pure._start(n)
+            assert (L, P) == (L, _level_parents(L)), n
+            assert L == list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2)), n
+        for n in (0, -1, -64):
+            with pytest.raises(ValueError):
+                pure._start(n)
+
     def test_walk_reports_the_first_changed_index(self):
         # the contract both views lean on: every tree counted into its alpha,
         # a tree yielded exactly when (n - 1) * F >= thr[alpha], lo the first

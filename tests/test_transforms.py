@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from sombor_trees import extremal, transforms
+from sombor_trees import transforms
+from sombor_trees import tree as tree_module
 from sombor_trees.errors import PreconditionError, TreeStructureError
 from sombor_trees.extremal import (
     TreeClass,
@@ -409,7 +410,8 @@ class TestCoreReads:
             calls += 1
             return core_split(t)
 
-        for module in (extremal, transforms):
+        # extremal imports core_split from tree when it runs
+        for module in (tree_module, transforms):
             monkeypatch.setattr(module, "core_split", counted)
         runs = [(apply_lemma1_case, other), (lemma1_case_tag, other),
                 (apply_lemma2_step, t2), (apply_theorem_step, t1),

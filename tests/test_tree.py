@@ -401,11 +401,6 @@ class TestEdgeListFormat:
         assert list(enumerate_family(1)) == ["1\n"]
         assert list(enumerate_family(2, 1)) == ["2\n0 1\n"]
 
-    def test_numeral_cache_keeps_one_order(self):
-        for n in range(1, 401):
-            format_edge_list(path_of_order(n))
-        assert tree_module._numerals.cache_info().currsize == 1
-
     @pytest.mark.parametrize(
         "levels",
         [(), (1, 0), (0, 2), (1,), (0, 0), (0, -1), (0, 1, 3), (0, 1, 2, 1, 3)],

@@ -622,10 +622,13 @@ class TestForkFanOut:
 POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
 
-def _imports(*args):
+def _imports(*args, backend=None):
     """(exit code, names of the modules imported) of ``python -X importtime
-    args`` in a fresh interpreter with the package's source first on the path."""
+    args`` in a fresh interpreter with the package's source first on the path,
+    under SOMBOR_TREES_BACKEND=backend when one is given."""
     env = dict(os.environ)
+    if backend is not None:
+        env["SOMBOR_TREES_BACKEND"] = backend
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -668,21 +671,34 @@ class TestPoolImport:
 STARTUP_HEAVY = {"dataclasses", "inspect", "sombor_trees.transforms"}
 
 
+def _starts(tmp_path):
+    """The benchmark's import probe and one start of each subcommand, as
+    interpreter arguments by name."""
+    tree = tmp_path / "tree.txt"
+    tree.write_text(format_edge_list(construct_t_star(7, 4)))
+    return {
+        "probe": ("-c", "import sombor_trees, sombor_trees.cli"),
+        "verify": ("-m", "sombor_trees", "verify", "--n-max", "6"),
+        "table": ("-m", "sombor_trees", "table", "--n-max", "5",
+                  "--output", str(tmp_path / "table.csv")),
+        "enumerate": ("-m", "sombor_trees", "enumerate", "--n", "6", "--alpha", "4"),
+        "compute": ("-m", "sombor_trees", "compute", "--input", str(tree)),
+        "construct": ("-m", "sombor_trees", "construct", "--n", "7", "--alpha", "4",
+                      "--output", str(tmp_path / "t_star.txt")),
+    }
+
+
+def _compiled_loads():
+    try:
+        from sombor_trees._kernels import _speedups  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
 class TestStartupImports:
     def test_no_command_imports_dataclasses(self, tmp_path):
-        tree = tmp_path / "tree.txt"
-        tree.write_text(format_edge_list(construct_t_star(7, 4)))
-        runs = [
-            ("-c", "import sombor_trees, sombor_trees.cli"),
-            ("-m", "sombor_trees", "verify", "--n-max", "6"),
-            ("-m", "sombor_trees", "table", "--n-max", "5",
-             "--output", str(tmp_path / "table.csv")),
-            ("-m", "sombor_trees", "enumerate", "--n", "6", "--alpha", "4"),
-            ("-m", "sombor_trees", "compute", "--input", str(tree)),
-            ("-m", "sombor_trees", "construct", "--n", "7", "--alpha", "4",
-             "--output", str(tmp_path / "t_star.txt")),
-        ]
-        for args in runs:
+        for args in _starts(tmp_path).values():
             code, names = _imports(*args)
             assert code == 0 and "sombor_trees.cli" in names, args
             assert not names & STARTUP_HEAVY, args
@@ -692,22 +708,36 @@ class TestStartupImports:
         code, names = _imports("-c", "import sombor_trees.transforms")
         assert code == 0 and "sombor_trees.transforms" in names
 
+    @pytest.mark.parametrize("backend", ["pure", "compiled"])
+    def test_only_compute_and_construct_load_the_tree_layer(self, tmp_path, backend):
+        # under PYTHONDONTWRITEBYTECODE every start compiles what it imports;
+        # the walk, the fold and the records build no Tree, so no verify,
+        # table or enumerate start, nor the benchmark's probe, loads tree.py
+        if backend == "compiled" and not _compiled_loads():
+            pytest.skip("the compiled extension does not load")
+        starts = _starts(tmp_path)
+        kernel = {"pure": "pure", "compiled": "_speedups"}[backend]
+        for name in ("probe", "verify", "table", "enumerate"):
+            code, names = _imports(*starts[name], backend=backend)
+            assert code == 0 and "sombor_trees.cli" in names, name
+            assert f"sombor_trees._kernels.{kernel}" in names, name
+            assert "sombor_trees.tree" not in names, name
+        # the controls: the two subcommands that build a Tree do load it
+        for name in ("compute", "construct"):
+            code, names = _imports(*starts[name], backend=backend)
+            assert code == 0 and "sombor_trees.tree" in names, name
+
     def test_a_compiled_start_loads_no_pure_kernels(self, tmp_path):
         # under PYTHONDONTWRITEBYTECODE every start compiles what it imports;
         # only enumerate, which runs the pure walk on either backend, needs
         # the pure module
         if _kernels.BACKEND != "compiled":
             pytest.skip("the pure backend is the pure module")
-        tree = tmp_path / "tree.txt"
-        tree.write_text(format_edge_list(construct_t_star(7, 4)))
-        for args in [
-            ("-c", "import sombor_trees, sombor_trees.cli"),
-            ("-m", "sombor_trees", "verify", "--n-max", "6"),
-            ("-m", "sombor_trees", "compute", "--input", str(tree)),
-        ]:
-            code, names = _imports(*args)
-            assert code == 0 and "sombor_trees._kernels._speedups" in names, args
-            assert "sombor_trees._kernels.pure" not in names, args
+        starts = _starts(tmp_path)
+        for name in ("probe", "verify", "compute"):
+            code, names = _imports(*starts[name])
+            assert code == 0 and "sombor_trees._kernels._speedups" in names, name
+            assert "sombor_trees._kernels.pure" not in names, name
         # the control: enumerate does load it
-        code, names = _imports("-m", "sombor_trees", "enumerate", "--n", "6")
+        code, names = _imports(*starts["enumerate"])
         assert code == 0 and "sombor_trees._kernels.pure" in names
