@@ -34,11 +34,9 @@ bound gamma_{n+4} of ``verify._float_error``, reaches the cell's runner-up;
 the walk only counts the other trees, which provably cannot change the cell
 (the argument is in ``order_fold``).  It copies a sequence only when it sets a
 new best.  ``tree_stats_from_levels`` computes the same two numbers from
-scratch for one sequence; it decodes the sequence with the checked decoder
-``tree._level_parents``, as ``Tree.from_level_sequence`` does, and imports
-it when called.  The walk needs nothing from ``tree``: ``_start`` writes the
-path's parent array itself, so a start that only walks never compiles
-``tree.py``.
+scratch for one sequence.  It and ``_start`` decode through
+``_level_parents``, the one checked decoder, which ``Tree.from_level_sequence``
+also uses; this module imports nothing from ``tree``.
 
 The compiled backend mirrors ``iter_level_sequences`` and the stats function
 for function, including the floating-point accumulation order, so both
@@ -79,18 +77,35 @@ def _successor(L: list[int], P: list[int], p: int) -> None:
         i += 1
 
 
+def _level_parents(levels: Sequence[int]) -> list[int]:
+    """Parent of each vertex of a preorder depth sequence starting at level 0;
+    the root's entry is -1.  Every parent precedes its children.  The one
+    checked decoder: ``_start``, ``tree_stats_from_levels`` and
+    ``Tree.from_level_sequence`` decode through it."""
+    n = len(levels)
+    if n < 1:
+        raise ValueError("empty level sequence")
+    if levels[0] != 0:
+        raise ValueError("level sequence must start with 0")
+    parents = [-1] * n
+    last_at = [0] * (n + 1)
+    for i in range(1, n):
+        li = levels[i]
+        if not 1 <= li <= levels[i - 1] + 1:
+            raise ValueError(f"level jump at position {i}")
+        parents[i] = last_at[li - 1]
+        last_at[li] = i
+    return parents
+
+
 def _start(n: int) -> tuple[list[int], list[int]]:
     """The walk's first sequence, the center-rooted path, and its parent
-    array, P[0] = -1 as ``tree._level_parents`` gives it, as fresh lists for
-    the caller to own.  Raises ValueError for n < 1."""
+    array, P[0] = -1, as fresh lists for the caller to own.  Raises
+    ValueError for n < 1."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    h = n // 2
-    L = list(range(h + 1)) + list(range(1, (n + 1) // 2))
-    # a chain of h vertices below the root, then one of (n - 1) // 2 hung on
-    # the root; the slice drops the second chain's head when it is empty
-    P = [-1, *range(h), 0, *range(h + 1, n - 1)][:n]
-    return L, P
+    L = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    return L, _level_parents(L)
 
 
 def _trees(
@@ -375,10 +390,8 @@ def order_fold(n: int) -> dict:
 def tree_stats_from_levels(levels: Sequence[int]) -> tuple[float, int]:
     """(Sombor index, independence number) of the encoded tree, by the same
     greedy matching and vertex-order sum as ``order_fold``.  Decodes through
-    ``tree._level_parents``, so raises its ValueError unless levels is a
+    ``_level_parents``, so raises its ValueError unless levels is a
     preorder depth sequence starting at level 0."""
-    from ..tree import _level_parents  # not at import: no walk needs the Tree layer
-
     parent = _level_parents(levels)
     n = len(parent)
     deg = [0] + [1] * (n - 1)

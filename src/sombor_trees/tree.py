@@ -15,28 +15,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import EdgeListParseError, TreeStructureError
 
 
-def _level_parents(levels: Sequence[int]) -> list[int]:
-    """Parent of each vertex of a preorder depth sequence starting at level 0;
-    the root's entry is -1.  Every parent precedes its children.  The one
-    checked decoder: ``Tree.from_level_sequence`` and the pure kernels' stats
-    decode through it.  The walk's start, ``pure._start``, writes the same
-    parent array for the path itself, so no walk imports this module."""
-    n = len(levels)
-    if n < 1:
-        raise ValueError("empty level sequence")
-    if levels[0] != 0:
-        raise ValueError("level sequence must start with 0")
-    parents = [-1] * n
-    last_at = [0] * (n + 1)
-    for i in range(1, n):
-        li = levels[i]
-        if not 1 <= li <= levels[i - 1] + 1:
-            raise ValueError(f"level jump at position {i}")
-        parents[i] = last_at[li - 1]
-        last_at[li] = i
-    return parents
-
-
 def _free_check(L: Sequence[int]) -> tuple[bool, int]:
     """Is this rooted sequence the canonical representative of its free tree?
 
@@ -156,6 +134,9 @@ class Tree(NamedTuple):
     @classmethod
     def from_level_sequence(cls, levels: Sequence[int]) -> "Tree":
         """Build from a preorder depth sequence starting at level 0."""
+        # not at import, so a compiled compute or construct loads no pure kernels
+        from ._kernels.pure import _level_parents
+
         parents = _level_parents(levels)
         adj: list[list[int]] = [[] for _ in parents]
         for i in range(1, len(parents)):

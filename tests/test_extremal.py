@@ -8,6 +8,7 @@ import pytest
 
 from sombor_trees import extremal
 from sombor_trees._kernels import pure
+from sombor_trees._kernels.pure import _level_parents
 from sombor_trees.errors import InfeasibleParamsError
 from sombor_trees.extremal import (
     TreeClass,
@@ -18,7 +19,7 @@ from sombor_trees.extremal import (
     feasible_alpha_range,
     t_star_levels,
 )
-from sombor_trees.tree import Tree, _level_parents, canonical_levels
+from sombor_trees.tree import Tree, canonical_levels
 
 from conftest import (
     IsoClassInterner,

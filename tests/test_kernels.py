@@ -18,7 +18,8 @@ import pytest
 
 from sombor_trees import _kernels
 from sombor_trees._kernels import _stream_fold, pure
-from sombor_trees.tree import Tree, _free_check, _level_parents
+from sombor_trees._kernels.pure import _level_parents
+from sombor_trees.tree import Tree, _free_check
 
 from conftest import (
     ROOT,
@@ -169,8 +170,8 @@ class TestPureKernels:
             assert pure.order_fold(n) == _stream_fold(n)
 
     def test_start_is_the_decoded_path(self):
-        # the walk's start writes the path's parents itself, without the
-        # checked decoder, and must hand over exactly its lists, root included
+        # the walk's start must hand over exactly the decoded path's lists,
+        # root included
         for n in range(1, 65):
             L, P = pure._start(n)
             assert (L, P) == (L, _level_parents(L)), n
@@ -178,6 +179,17 @@ class TestPureKernels:
         for n in (0, -1, -64):
             with pytest.raises(ValueError):
                 pure._start(n)
+
+    def test_stats_load_no_tree_layer(self):
+        # the decoder lives beside the stats, so a stats call, like a walk,
+        # needs nothing from tree.py
+        done = _import_package("pure", ROOT / "src", (
+            "import sys; from sombor_trees._kernels import pure; "
+            "pure.tree_stats_from_levels((0, 1, 2, 1)); "
+            "print('sombor_trees.tree' in sys.modules)"
+        ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [b"False"]
 
     def test_walk_reports_the_first_changed_index(self):
         # the contract both views lean on: every tree counted into its alpha,
@@ -431,9 +443,12 @@ class TestBackendSelection:
         assert done.stdout.split() == [b"pure"]
 
 
-def _import_package(backend, path):
-    """``import sombor_trees`` in a fresh interpreter, from path first, printing
-    the backend it picked; backend None leaves SOMBOR_TREES_BACKEND unset."""
+def _import_package(
+    backend, path, code="import sombor_trees; print(sombor_trees.KERNEL_BACKEND)"
+):
+    """Run code in a fresh interpreter, from path first; by default it imports
+    sombor_trees and prints the backend it picked.  Backend None leaves
+    SOMBOR_TREES_BACKEND unset."""
     env = dict(os.environ)
     env.pop("SOMBOR_TREES_BACKEND", None)
     if backend is not None:
@@ -442,7 +457,7 @@ def _import_package(backend, path):
         p for p in (str(path), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-c", "import sombor_trees; print(sombor_trees.KERNEL_BACKEND)"],
+        [sys.executable, "-c", code],
         capture_output=True,
         env=env,
         timeout=60,

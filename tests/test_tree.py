@@ -6,7 +6,6 @@ import tracemalloc
 
 import pytest
 
-from sombor_trees import tree as tree_module
 from sombor_trees._kernels import pure
 from sombor_trees.enumeration import enumerate_family
 from sombor_trees.errors import EdgeListParseError, TreeStructureError
@@ -410,7 +409,7 @@ class TestEdgeListFormat:
         # the message
         messages = set()
         for decode in (
-            tree_module._level_parents,
+            pure._level_parents,
             Tree.from_level_sequence,
             pure.tree_stats_from_levels,
         ):
